@@ -45,6 +45,14 @@ class CaModel:
             a.flags.writeable = False
 
 
+def orient_axes(coords: np.ndarray) -> np.ndarray:
+    """Deterministic axis orientation: flip each column so that its
+    largest-|entry| (first index on ties) is nonnegative."""
+    pivots = np.argmax(np.abs(coords), axis=0)
+    flip = coords[pivots, np.arange(coords.shape[1])] < 0
+    return np.where(flip, -coords, coords)
+
+
 def classical_mds(d, dims: int = 2) -> MdsEmbedding:
     """Torgerson scaling of a symmetric distance matrix.
 
@@ -65,8 +73,10 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
         raise InputError("distances must be nonnegative")
     if dims < 1:
         raise InputError(f"dims must be positive, got {dims}")
-    H = np.eye(n) - np.full((n, n), 1.0 / n)
-    B = -0.5 * H @ (D ** 2) @ H
+    # double centering -H D^2 H / 2 from row, column and grand means
+    D2 = D ** 2
+    B = -0.5 * (D2 - D2.mean(axis=1, keepdims=True) - D2.mean(axis=0, keepdims=True)
+                + D2.mean())
     evals, evecs = np.linalg.eigh(B)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
@@ -76,12 +86,7 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
     if keep == 0:
         raise InputError("no positive eigenvalues; input is not embeddable")
     top = evals[:keep]
-    coords = evecs[:, :keep] * np.sqrt(top)
-    # deterministic orientation: largest-|entry| per axis nonnegative
-    for k in range(coords.shape[1]):
-        pivot = int(np.argmax(np.abs(coords[:, k])))
-        if coords[pivot, k] < 0:
-            coords[:, k] = -coords[:, k]
+    coords = orient_axes(evecs[:, :keep] * np.sqrt(top))
     pos_mass = float(np.sum(evals[evals > tol]))
     strain = float((pos_mass - np.sum(top)) / pos_mass) if pos_mass > 0 else 0.0
     return MdsEmbedding(coords=coords, eigenvalues=top.copy(), strain=strain,

@@ -4,6 +4,7 @@ methods, or run the embedded case studies."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -62,67 +63,68 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _compare_one(table: DataTable, method: str, out_dir: Path) -> dict:
-    """Run one comparison method, write its report and SVG, return the
-    summary entry."""
-    stem = f"{_slug(table.name)}_{method}"
-    if method == "jk":
-        model, qual, rep = _analyze_table(table, 1.0, 2, "zscore")
-        _write(out_dir / f"{stem}.json", rep.to_json())
-        _write(out_dir / f"{stem}.svg", report.render_svg(model, qual))
-        return {"method": "jk", "share_2d": qual.qr_overall}
-    if method == "pca":
-        scores = baselines.pca_map(table, 2)
-        z, _ = preprocess(table, "zscore")
-        res_model = engine.jk(z, 2, row_labels=table.row_labels,
-                              col_labels=table.col_labels, name=table.name)
-        shares = res_model.axis_variance_shares() * 100.0
-        share = float(np.sum(res_model.axis_variance_shares()))
-        doc = {"method": "pca", "scores": scores.tolist(),
-               "row_labels": list(table.row_labels), "share_2d": share}
-        _write(out_dir / f"{stem}.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        _write(out_dir / f"{stem}.svg",
-               report.render_scatter_svg(scores, table.row_labels,
-                                         f"PCA | 2-D share {share * 100:.1f}%",
-                                         (float(shares[0]), float(shares[1]))))
-        return {"method": "pca", "share_2d": share}
-    if method == "mds":
-        z, _ = preprocess(table, "zscore")
-        diff = z[:, None, :] - z[None, :, :]
-        d = np.sqrt(np.sum(diff ** 2, axis=2))
-        emb = baselines.classical_mds(d, 2)
-        pos = 1.0 - emb.strain
-        doc = {"method": "mds", "coords": emb.coords.tolist(),
-               "eigenvalues": emb.eigenvalues.tolist(),
-               "row_labels": list(table.row_labels),
-               "strain": emb.strain, "share_2d": pos}
-        _write(out_dir / f"{stem}.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        _write(out_dir / f"{stem}.svg",
-               report.render_scatter_svg(emb.coords, table.row_labels,
-                                         f"Classical MDS | 2-D share {pos * 100:.1f}%"))
-        return {"method": "mds", "share_2d": pos}
-    if method == "ca":
-        ca = baselines.correspondence_analysis(table, 2)
-        share = float(np.sum(ca.inertias) / ca.total_inertia)
-        doc = {"method": "ca", "row_coords": ca.row_coords.tolist(),
-               "col_coords": ca.col_coords.tolist(),
-               "inertias": ca.inertias.tolist(),
-               "total_inertia": ca.total_inertia,
-               "row_labels": list(table.row_labels),
-               "col_labels": list(table.col_labels),
-               "share_2d": share,
-               "warnings": ["table mixes measurement units; chi-square "
-                            "profiles may not be meaningful"]}
-        _write(out_dir / f"{stem}.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        shares = ca.inertias / ca.total_inertia * 100.0
-        _write(out_dir / f"{stem}.svg",
-               report.render_scatter_svg(ca.row_coords, table.row_labels,
-                                         f"CA (symmetric) | 2-D share {share * 100:.1f}%",
-                                         (float(shares[0]), float(shares[1])),
-                                         col_coords=ca.col_coords,
-                                         col_labels=table.col_labels))
-        return {"method": "ca", "share_2d": share}
-    raise InputError(f"unknown method {method!r}; choose from jk, pca, mds, ca")
+def _json_doc(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Each panel maps (table, fit) to (report JSON, SVG, 2-D share). ``fit``
+# returns the table's z-scored JK analysis, computed once on first use:
+# by the Torgerson duality the PCA scores and the classical MDS
+# configuration of the Euclidean row distances are its row markers.
+
+def _jk_panel(table: DataTable, fit):
+    model, qual, rep = fit()
+    return rep.to_json(), report.render_svg(model, qual), qual.qr_overall
+
+
+def _pca_panel(table: DataTable, fit):
+    model, _, _ = fit()
+    scores = model.row_markers
+    shares = model.axis_variance_shares()
+    share = float(np.sum(shares))
+    doc = {"method": "pca", "scores": scores.tolist(),
+           "row_labels": list(table.row_labels), "share_2d": share}
+    svg = report.render_scatter_svg(scores, table.row_labels,
+                                    f"PCA | 2-D share {share * 100:.1f}%",
+                                    (float(shares[0] * 100.0), float(shares[1] * 100.0)))
+    return _json_doc(doc), svg, share
+
+
+def _mds_panel(table: DataTable, fit):
+    model, qual, _ = fit()
+    coords = baselines.orient_axes(model.row_markers)
+    share = qual.qr_overall
+    doc = {"method": "mds", "coords": coords.tolist(),
+           "eigenvalues": (model.sigma_retained ** 2).tolist(),
+           "row_labels": list(table.row_labels),
+           "strain": 1.0 - share, "share_2d": share}
+    svg = report.render_scatter_svg(coords, table.row_labels,
+                                    f"Classical MDS | 2-D share {share * 100:.1f}%")
+    return _json_doc(doc), svg, share
+
+
+def _ca_panel(table: DataTable, fit):
+    ca = baselines.correspondence_analysis(table, 2)
+    share = float(np.sum(ca.inertias) / ca.total_inertia)
+    doc = {"method": "ca", "row_coords": ca.row_coords.tolist(),
+           "col_coords": ca.col_coords.tolist(),
+           "inertias": ca.inertias.tolist(),
+           "total_inertia": ca.total_inertia,
+           "row_labels": list(table.row_labels),
+           "col_labels": list(table.col_labels),
+           "share_2d": share,
+           "warnings": ["table mixes measurement units; chi-square "
+                        "profiles may not be meaningful"]}
+    shares = ca.inertias / ca.total_inertia * 100.0
+    svg = report.render_scatter_svg(ca.row_coords, table.row_labels,
+                                    f"CA (symmetric) | 2-D share {share * 100:.1f}%",
+                                    (float(shares[0]), float(shares[1])),
+                                    col_coords=ca.col_coords,
+                                    col_labels=table.col_labels)
+    return _json_doc(doc), svg, share
+
+
+_PANELS = {"jk": _jk_panel, "pca": _pca_panel, "mds": _mds_panel, "ca": _ca_panel}
 
 
 def _slug(name: str) -> str:
@@ -140,14 +142,20 @@ def _cmd_compare(args) -> int:
     if not methods:
         raise InputError("--methods must name at least one method")
     for m in methods:
-        if m not in ("jk", "pca", "mds", "ca"):
-            raise InputError(f"unknown method {m!r}; choose from jk, pca, mds, ca")
+        if m not in _PANELS:
+            raise InputError(f"unknown method {m!r}; choose from {', '.join(_PANELS)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = [_compare_one(table, m, out_dir) for m in methods]
+    fit = functools.cache(lambda: _analyze_table(table, 1.0, 2, "zscore"))
+    summary = []
+    for m in methods:
+        doc, svg, share = _PANELS[m](table, fit)
+        stem = f"{_slug(table.name)}_{m}"
+        _write(out_dir / f"{stem}.json", doc)
+        _write(out_dir / f"{stem}.svg", svg)
+        summary.append({"method": m, "share_2d": share})
     _write(out_dir / f"{_slug(table.name)}_summary.json",
-           json.dumps({"dataset": table.name, "methods": summary},
-                      sort_keys=True, indent=2) + "\n")
+           _json_doc({"dataset": table.name, "methods": summary}))
     for entry in summary:
         print(f"{entry['method']}: 2-D share = {entry['share_2d']:.4f}")
     return EXIT_OK
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare biplot with PCA/MDS/CA panels")
     p.add_argument("input")
-    p.add_argument("--methods", default="jk,pca,mds,ca")
+    p.add_argument("--methods", default=",".join(_PANELS))
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_compare)
 

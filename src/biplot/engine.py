@@ -117,7 +117,8 @@ def quality(model: BiplotModel, x) -> QualityReport:
 
     ``qr_rows[i]`` is the fraction of row i's squared norm captured by the
     retained axes, and symmetrically for columns; ``qr_overall`` is the
-    variance-explained ratio of the retained singular values.
+    variance-explained ratio of the retained singular values and
+    ``residual_frobenius`` the norm of the discarded ones.
     """
     m = linalg.as_matrix(x)
     if m.shape != model.shape:
@@ -135,7 +136,8 @@ def quality(model: BiplotModel, x) -> QualityReport:
     qr_cols = np.clip(qr_cols, 0.0, 1.0)
     total = float(np.sum(model.sigma_all ** 2))
     qr_overall = float(np.sum(s ** 2) / total) if total > 0 else 1.0
-    residual = float(np.linalg.norm(m - reconstruct(model), "fro"))
+    # Eckart-Young: ||X - A B'||_F is the norm of the discarded singular values
+    residual = float(np.sqrt(np.sum(model.sigma_all[model.dims:] ** 2)))
     return QualityReport(qr_rows=qr_rows, qr_cols=qr_cols,
                          qr_overall=qr_overall, residual_frobenius=residual)
 

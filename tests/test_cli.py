@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import biplot
+from biplot import linalg
+from biplot.baselines import classical_mds
 from biplot.cli import main
-from biplot.data import case_csv
+from biplot.data import case_csv, load_case, preprocess
 
 
 @pytest.fixture
@@ -125,3 +133,62 @@ def test_compare_ca_on_negative_table_exits_2(tmp_path, capsys):
     bad.write_text(",a,b\nr1,1,2\nr2,3,-1\nr3,5,6\n", encoding="utf-8")
     assert main(["compare", str(bad), "--methods", "ca", "--out", str(tmp_path)]) == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+def _compare_docs(tmp_path, csv_path, methods):
+    out = tmp_path / "panels"
+    assert main(["compare", str(csv_path), "--methods", methods, "--out", str(out)]) == 0
+    return {p.stem.rsplit("_", 1)[1]: json.loads(p.read_text()) for p in out.glob("*.json")}
+
+
+@pytest.mark.parametrize("methods, calls", [("jk,pca,mds,ca", 2), ("jk,pca,mds", 1)])
+def test_compare_factors_once(tmp_path, case1_csv, monkeypatch, methods, calls):
+    count = []
+    real_svd = linalg.svd
+
+    def counting_svd(values):
+        count.append(1)
+        return real_svd(values)
+
+    monkeypatch.setattr(linalg, "svd", counting_svd)
+    _compare_docs(tmp_path, case1_csv, methods)
+    assert len(count) == calls
+
+
+def test_compare_mds_panel_matches_classical_mds(tmp_path, case1_csv):
+    docs = _compare_docs(tmp_path, case1_csv, "jk,mds")
+    z, _ = preprocess(load_case(1), "zscore")
+    d = np.sqrt(np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2))
+    oracle = classical_mds(d, 2)
+    assert np.max(np.abs(np.array(docs["mds"]["coords"]) - oracle.coords)) <= 1e-9
+    assert np.allclose(docs["mds"]["eigenvalues"], oracle.eigenvalues, rtol=1e-12)
+    assert abs(docs["mds"]["strain"] - (1.0 - docs["summary"]["methods"][0]["share_2d"])) <= 1e-12
+    assert abs(docs["mds"]["strain"] - oracle.strain) <= 1e-12
+
+
+def test_compare_mds_on_rank1_table_exits_2(tmp_path, capsys):
+    path = tmp_path / "rank1.csv"
+    path.write_text(",a,b\nr1,1,2\nr2,2,4\nr3,3,6\nr4,5,10\n", encoding="utf-8")
+    assert main(["compare", str(path), "--methods", "mds", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
+    x = np.random.default_rng(1).normal(size=(3000, 40))
+    lines = [",".join([""] + [f"c{j}" for j in range(40)])]
+    lines += [",".join([f"r{i}"] + [repr(float(v)) for v in row]) for i, row in enumerate(x)]
+    table = tmp_path / "t.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(biplot.__file__).resolve().parents[1])
+    artifacts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        j, s = tmp_path / f"{threads}.json", tmp_path / f"{threads}.svg"
+        subprocess.run([sys.executable, "-m", "biplot.cli", "analyze", str(table),
+                        "--json", str(j), "--svg", str(s)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        artifacts.append((j.read_bytes(), s.read_bytes()))
+    assert artifacts[0][0] == artifacts[1][0]
+    assert artifacts[0][1] == artifacts[1][1]
