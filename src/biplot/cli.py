@@ -38,33 +38,56 @@ def _analyze_table(table: DataTable, gamma: float, dims: int, scale: str):
     return model, qual, rep
 
 
+def _read_table(path: str) -> DataTable:
+    """Parse the CSV file at ``path`` as it streams in."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse_table(fh, Path(path).stem)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _write(path: str, text: str):
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _cmd_analyze(args) -> int:
+def _stream(path: str, write) -> None:
+    """Create the artifact ``path`` through ``write(fh)``; if that fails,
+    remove the partial file."""
+    fh = open(path, "w", encoding="utf-8")
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    table = parse_table(text, Path(args.input).stem)
+        with fh:
+            write(fh)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _write_artifacts(args, model, qual, rep) -> None:
+    """Stream the ``--json`` report and the ``--svg`` plot to their files."""
+    if args.json:
+        _stream(args.json, lambda fh: report.write_json(rep, fh))
+    if args.svg:
+        _stream(args.svg, lambda fh: report.write_svg(model, qual, fh))
+
+
+def _cmd_analyze(args) -> int:
+    table = _read_table(args.input)
     if args.gamma is not None:
         gamma = args.gamma
     else:
         gamma = GAMMA_BY_TYPE[args.type or "jk"]
     model, qual, rep = _analyze_table(table, gamma, args.dims, args.scale)
-    if args.json:
-        _write(args.json, rep.to_json())
-    if args.svg:
-        _write(args.svg, report.render_svg(model, qual))
+    _write_artifacts(args, model, qual, rep)
     print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} "
           f"({report.method_name(gamma)}, dims={model.dims}, scale={args.scale})")
     return EXIT_OK
 
 
 def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, **report.JSON_KWARGS) + "\n"
 
 
 # Each panel maps (table, fit) to (report JSON, SVG, 2-D share). ``fit``
@@ -132,12 +155,7 @@ def _slug(name: str) -> str:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    table = parse_table(text, Path(args.input).stem)
+    table = _read_table(args.input)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise InputError("--methods must name at least one method")
@@ -168,10 +186,7 @@ def _cmd_case(args) -> int:
         print(f"wrote {args.dump_csv}")
         return EXIT_OK
     model, qual, rep = _analyze_table(table, 1.0, 2, "zscore")
-    if args.json:
-        _write(args.json, rep.to_json())
-    if args.svg:
-        _write(args.svg, report.render_svg(model, qual))
+    _write_artifacts(args, model, qual, rep)
     print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} (jk, dims=2, scale=zscore)")
     return EXIT_OK
 

@@ -10,6 +10,9 @@ import numpy as np
 from .engine import BiplotModel, QualityReport
 from .errors import InputError
 
+# The one JSON layout of every artifact: key-sorted, two-space indent.
+JSON_KWARGS = {"sort_keys": True, "indent": 2, "allow_nan": True}
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -28,12 +31,18 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         """Key-sorted JSON; floats keep their shortest round-trip form."""
-        return json.dumps(self.__dict__, sort_keys=True, indent=2,
-                          allow_nan=True) + "\n"
+        return json.dumps(self.__dict__, **JSON_KWARGS) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         return cls(**json.loads(text))
+
+
+def write_json(report: AnalysisReport, fp) -> None:
+    """Write ``report.to_json()`` to the text file ``fp`` chunk by chunk,
+    without building the document."""
+    json.dump(report.__dict__, fp, **JSON_KWARGS)
+    fp.write("\n")
 
 
 def _listify(a: np.ndarray) -> list:
@@ -115,10 +124,45 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_svg(model: BiplotModel, quality: QualityReport,
-               spec: PlotSpec = PlotSpec()) -> str:
-    """Deterministic 2-D biplot: dots for rows, arrows from the origin for
-    columns, axes annotated with variance shares."""
+def _escape(text: str) -> str:
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+
+
+_MARGIN = 60.0
+_ARROW_HEAD = ('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6" '
+               'refY="3" orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#cc0000"/>'
+               '</marker></defs>\n')
+
+
+def _frame(spec: PlotSpec, shares, legend: str, body, defs: str = ""):
+    """Lines of one SVG panel: header, background, both axes, the axis
+    labels when ``shares`` (percent per axis) is given, the ``body`` lines,
+    the legend, ``defs`` and the closing tag."""
+    w, h, m = spec.width, spec.height, _MARGIN
+    cx, cy = w / 2.0, h / 2.0
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+           f'height="{h}" viewBox="0 0 {w} {h}">\n')
+    yield f'<rect width="{w}" height="{h}" fill="white"/>\n'
+    yield (f'<line class="axis" x1="{_fmt(m)}" y1="{_fmt(cy)}" '
+           f'x2="{_fmt(w - m)}" y2="{_fmt(cy)}" stroke="#cccccc"/>\n')
+    yield (f'<line class="axis" x1="{_fmt(cx)}" y1="{_fmt(m)}" '
+           f'x2="{_fmt(cx)}" y2="{_fmt(h - m)}" stroke="#cccccc"/>\n')
+    if shares is not None:
+        yield (f'<text class="axis-label" x="{_fmt(w - m)}" y="{_fmt(cy - 8)}" '
+               f'text-anchor="end" font-size="12">Axis 1 ({shares[0]:.1f}%)</text>\n')
+        yield (f'<text class="axis-label" x="{_fmt(cx + 8)}" y="{_fmt(m + 4)}" '
+               f'font-size="12">Axis 2 ({shares[1]:.1f}%)</text>\n')
+    yield from body
+    yield (f'<text class="legend" x="{_fmt(m)}" y="{_fmt(h - m / 2)}" '
+           f'font-size="12">{_escape(legend)}</text>\n')
+    if defs:
+        yield defs
+    yield '</svg>\n'
+
+
+def _biplot_lines(model: BiplotModel, quality: QualityReport, spec: PlotSpec):
+    """Check the model and the spec, lay the biplot out and return the
+    generator of its SVG lines."""
     if model.dims != 2:
         raise InputError(f"SVG rendering requires a 2-D model, got dims={model.dims}")
     if spec.vector_scale is not None and not spec.vector_scale > 0:
@@ -134,61 +178,46 @@ def render_svg(model: BiplotModel, quality: QualityReport,
         else 0.4 * row_extent / col_extent
     Bs = B * scale
 
-    margin = 60.0
-    half_w = spec.width / 2.0 - margin
-    half_h = spec.height / 2.0 - margin
+    half_w = spec.width / 2.0 - _MARGIN
+    half_h = spec.height / 2.0 - _MARGIN
     extent = max(row_extent, float(np.max(np.abs(Bs))) if Bs.size else 0.0) or 1.0
     unit = min(half_w, half_h) / extent
     cx, cy = spec.width / 2.0, spec.height / 2.0
 
-    def to_px(x, y):
-        return cx + x * unit, cy - y * unit
+    def body():
+        for (bx, by), label in zip(Bs.tolist(), model.col_labels, strict=True):
+            x, y = cx + bx * unit, cy - by * unit
+            yield (f'<line class="arrow" x1="{_fmt(cx)}" y1="{_fmt(cy)}" '
+                   f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#cc0000" '
+                   f'stroke-width="1.5" marker-end="url(#head)"/>\n')
+            if spec.show_labels:
+                yield (f'<text class="col-label" x="{_fmt(x + 4)}" y="{_fmt(y - 4)}" '
+                       f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
+        for (ax, ay), label in zip(A.tolist(), model.row_labels, strict=True):
+            x, y = cx + ax * unit, cy - ay * unit
+            yield f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n'
+            if spec.show_labels:
+                yield (f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
+                       f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
 
     shares = model.axis_variance_shares() * 100.0
-    out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-               f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">')
-    out.append(f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>')
-    out.append(f'<line class="axis" x1="{_fmt(margin)}" y1="{_fmt(cy)}" '
-               f'x2="{_fmt(spec.width - margin)}" y2="{_fmt(cy)}" stroke="#cccccc"/>')
-    out.append(f'<line class="axis" x1="{_fmt(cx)}" y1="{_fmt(margin)}" '
-               f'x2="{_fmt(cx)}" y2="{_fmt(spec.height - margin)}" stroke="#cccccc"/>')
-    out.append(f'<text class="axis-label" x="{_fmt(spec.width - margin)}" '
-               f'y="{_fmt(cy - 8)}" text-anchor="end" font-size="12">'
-               f'Axis 1 ({shares[0]:.1f}%)</text>')
-    out.append(f'<text class="axis-label" x="{_fmt(cx + 8)}" y="{_fmt(margin + 4)}" '
-               f'font-size="12">Axis 2 ({shares[1]:.1f}%)</text>')
-
-    for j in range(B.shape[0]):
-        x, y = to_px(Bs[j, 0], Bs[j, 1])
-        out.append(f'<line class="arrow" x1="{_fmt(cx)}" y1="{_fmt(cy)}" '
-                   f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#cc0000" '
-                   f'stroke-width="1.5" marker-end="url(#head)"/>')
-        if spec.show_labels:
-            out.append(f'<text class="col-label" x="{_fmt(x + 4)}" y="{_fmt(y - 4)}" '
-                       f'font-size="11" fill="#cc0000">{_escape(model.col_labels[j])}</text>')
-
-    for i in range(A.shape[0]):
-        x, y = to_px(A[i, 0], A[i, 1])
-        out.append(f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
-                   f'fill="#003366"/>')
-        if spec.show_labels:
-            out.append(f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
-                       f'font-size="11" fill="#003366">{_escape(model.row_labels[i])}</text>')
-
     legend = (f'{method_name(model.gamma).upper()} biplot | '
               f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{scale:.4g}')
-    out.append(f'<text class="legend" x="{_fmt(margin)}" '
-               f'y="{_fmt(spec.height - margin / 2)}" font-size="12">{_escape(legend)}</text>')
-    out.append('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6" '
-               'refY="3" orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#cc0000"/>'
-               '</marker></defs>')
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+    return _frame(spec, shares, legend, body(), _ARROW_HEAD)
 
 
-def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+def render_svg(model: BiplotModel, quality: QualityReport,
+               spec: PlotSpec = PlotSpec()) -> str:
+    """Deterministic 2-D biplot: dots for rows, arrows from the origin for
+    columns, axes annotated with variance shares."""
+    return "".join(_biplot_lines(model, quality, spec))
+
+
+def write_svg(model: BiplotModel, quality: QualityReport, fp,
+              spec: PlotSpec = PlotSpec()) -> None:
+    """Write ``render_svg(model, quality, spec)`` to the text file ``fp``
+    line by line, without building the document."""
+    fp.writelines(_biplot_lines(model, quality, spec))
 
 
 def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
@@ -203,39 +232,23 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
         raise InputError(f"scatter rendering needs n x 2 coordinates, got {pts.shape}")
     all_pts = pts if col_coords is None else np.vstack([pts, col_coords])
     extent = float(np.max(np.abs(all_pts))) or 1.0
-    margin = 60.0
-    unit = (min(spec.width, spec.height) / 2.0 - margin) / extent
+    unit = (min(spec.width, spec.height) / 2.0 - _MARGIN) / extent
     cx, cy = spec.width / 2.0, spec.height / 2.0
-    out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-               f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">')
-    out.append(f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>')
-    out.append(f'<line class="axis" x1="{_fmt(margin)}" y1="{_fmt(cy)}" '
-               f'x2="{_fmt(spec.width - margin)}" y2="{_fmt(cy)}" stroke="#cccccc"/>')
-    out.append(f'<line class="axis" x1="{_fmt(cx)}" y1="{_fmt(margin)}" '
-               f'x2="{_fmt(cx)}" y2="{_fmt(spec.height - margin)}" stroke="#cccccc"/>')
-    if shares is not None:
-        out.append(f'<text class="axis-label" x="{_fmt(spec.width - margin)}" '
-                   f'y="{_fmt(cy - 8)}" text-anchor="end" font-size="12">'
-                   f'Axis 1 ({shares[0]:.1f}%)</text>')
-        out.append(f'<text class="axis-label" x="{_fmt(cx + 8)}" y="{_fmt(margin + 4)}" '
-                   f'font-size="12">Axis 2 ({shares[1]:.1f}%)</text>')
-    for i in range(pts.shape[0]):
-        x, y = cx + pts[i, 0] * unit, cy - pts[i, 1] * unit
-        out.append(f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>')
-        if spec.show_labels:
-            out.append(f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
-                       f'font-size="11" fill="#003366">{_escape(labels[i])}</text>')
-    if col_coords is not None:
-        cc = np.asarray(col_coords, dtype=float)
-        for j in range(cc.shape[0]):
-            x, y = cx + cc[j, 0] * unit, cy - cc[j, 1] * unit
-            out.append(f'<rect class="col-dot" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
-                       f'width="6" height="6" fill="#cc0000"/>')
-            if spec.show_labels and col_labels is not None:
-                out.append(f'<text class="col-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
-                           f'font-size="11" fill="#cc0000">{_escape(col_labels[j])}</text>')
-    out.append(f'<text class="legend" x="{_fmt(margin)}" '
-               f'y="{_fmt(spec.height - margin / 2)}" font-size="12">{_escape(title)}</text>')
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+
+    def body():
+        for (px, py), label in zip(pts.tolist(), labels, strict=True):
+            x, y = cx + px * unit, cy - py * unit
+            yield f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n'
+            if spec.show_labels:
+                yield (f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
+                       f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
+        if col_coords is not None:
+            for j, (qx, qy) in enumerate(np.asarray(col_coords, dtype=float).tolist()):
+                x, y = cx + qx * unit, cy - qy * unit
+                yield (f'<rect class="col-dot" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
+                       f'width="6" height="6" fill="#cc0000"/>\n')
+                if spec.show_labels and col_labels is not None:
+                    yield (f'<text class="col-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
+                           f'font-size="11" fill="#cc0000">{_escape(col_labels[j])}</text>\n')
+
+    return "".join(_frame(spec, shares, title, body()))

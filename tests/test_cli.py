@@ -10,8 +10,9 @@ import pytest
 import biplot
 from biplot import linalg
 from biplot.baselines import classical_mds
-from biplot.cli import main
-from biplot.data import case_csv, load_case, preprocess
+from biplot.cli import _analyze_table, main
+from biplot.data import case_csv, load_case, parse_table, preprocess
+from biplot.report import render_svg
 
 
 @pytest.fixture
@@ -174,12 +175,16 @@ def test_compare_mds_on_rank1_table_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
-    x = np.random.default_rng(1).normal(size=(3000, 40))
-    lines = [",".join([""] + [f"c{j}" for j in range(40)])]
+def _seeded_csv(path, n, p, seed):
+    x = np.random.default_rng(seed).normal(size=(n, p))
+    lines = [",".join([""] + [f"c{j}" for j in range(p)])]
     lines += [",".join([f"r{i}"] + [repr(float(v)) for v in row]) for i, row in enumerate(x)]
-    table = tmp_path / "t.csv"
-    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
+    table = _seeded_csv(tmp_path / "t.csv", 3000, 40, 1)
     src = str(Path(biplot.__file__).resolve().parents[1])
     artifacts = []
     for threads in ("1", "2"):
@@ -192,3 +197,36 @@ def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
         artifacts.append((j.read_bytes(), s.read_bytes()))
     assert artifacts[0][0] == artifacts[1][0]
     assert artifacts[0][1] == artifacts[1][1]
+
+
+@pytest.mark.parametrize("command, options", [("analyze", []),
+                                              ("compare", ["--methods", "jk"])])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command, options):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b",a,b\nM\xfcnchen,1,2\nr2,3,4\nr3,5,7\n")
+    assert main([command, str(path), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read " + str(path)) and "UTF-8" in err
+
+
+@pytest.mark.parametrize("source", ["1", "2", "3", "2000x30"])
+def test_streamed_artifacts_equal_in_memory_ones(tmp_path, source):
+    j, s = tmp_path / "report.json", tmp_path / "plot.svg"
+    if source == "2000x30":
+        path = _seeded_csv(tmp_path / "t.csv", 2000, 30, 7)
+        table = parse_table(path.read_text(encoding="utf-8"), path.stem)
+        argv = ["analyze", str(path)]
+    else:
+        table = load_case(int(source))
+        argv = ["case", source]
+    assert main(argv + ["--json", str(j), "--svg", str(s)]) == 0
+    model, qual, rep = _analyze_table(table, 1.0, 2, "zscore")
+    assert j.read_bytes() == rep.to_json().encode("utf-8")
+    assert s.read_bytes() == render_svg(model, qual).encode("utf-8")
+
+
+def test_failed_svg_leaves_no_partial_file(tmp_path, case1_csv, capsys):
+    svg = tmp_path / "plot.svg"
+    assert main(["analyze", str(case1_csv), "--dims", "3", "--svg", str(svg)]) == 2
+    assert "2-D model" in capsys.readouterr().err
+    assert not svg.exists()

@@ -1,7 +1,12 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from biplot.data import (DataTable, apply_record, case_csv, load_case,
+from biplot.data import (DataTable, _parse_reference, apply_record, case_csv, load_case,
                          parse_table, preprocess, serialize_table)
 from biplot.errors import InputError
 
@@ -141,3 +146,76 @@ def test_datatable_rejects_nonfinite():
     with pytest.raises(InputError, match="non-finite"):
         DataTable("t", ("a", "b", "c"), ("x", "y"),
                   np.array([[1.0, 2.0], [np.nan, 4.0], [5.0, 6.0]]))
+
+
+# Differential test: parse_table (numpy's C reader with a fallback) against
+# the per-cell csv + float() reference parser on generated CSV text.
+
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-10**6, 10**6).map(str))
+# Cells on which the two readers may disagree.
+_ODD_NUMBERS = st.sampled_from([
+    # float() reads these as finite numbers,
+    "1_000", " 2.5 ", "\t3", "5.", "+.5", "-0", "1e-400", "١٢", "１", "\xa04",
+    '"7"', '"8"9', '" 6 "', '"1\n"',
+    # and rejects these or reads them as non-finite.
+    "", " ", "x", "1.2.3", "\x1c1", "1\x1f", '"1,5"', "0x10", "nan", "-nan", "inf",
+    "-Infinity", "1e400", '"1"2"'])
+_DECOR = st.text(alphabet=' #",\n\r\tab', max_size=3)
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+def _pick(draw, percent: int) -> bool:
+    return draw(st.integers(0, 99)) < percent
+
+
+@st.composite
+def _csv_text(draw):
+    """A labeled table of numbers with a few odd cells: quoted labels with
+    commas, quotes, line breaks, a leading '#' or an ASCII separator, blank
+    and whitespace-only lines, mixed line endings; ``messy`` tables add
+    unquoted labels, ragged rows and trailing commas."""
+    messy = draw(st.booleans())
+    p = draw(st.integers(2, 4))
+    cols = [f"c{j}" for j in range(p)]
+    if draw(st.booleans()):
+        cols[0] = _quote(f" a,{draw(_DECOR)}")
+    lines = ["," + ",".join(cols)]
+    for i in range(draw(st.integers(0 if messy else 3, 6))):
+        if _pick(draw, 20):
+            lines.append(draw(st.sampled_from(["", "", "   ", "\t", '""'] + [","] * messy)))
+        label = f"{draw(_DECOR)}r{i}{draw(_DECOR)}" + "\x1c" * _pick(draw, 5)
+        if not (messy and _pick(draw, 30)):
+            label = _quote(label)
+        if messy and _pick(draw, 10):
+            label = " " + label
+        count = p + (draw(st.sampled_from([-1, 1])) if messy and _pick(draw, 10) else 0)
+        cells = [draw(_ODD_NUMBERS if _pick(draw, 6) else _NUMBERS) for _ in range(count)]
+        trail = "," if messy and _pick(draw, 10) else ""
+        lines.append(",".join([label] + cells) + trail)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+
+
+def _outcome(parse, source):
+    try:
+        t = parse(source, "t")
+    except InputError as exc:
+        return "InputError", str(exc)
+    return t.row_labels, t.col_labels, t.values.shape, t.values.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_text(), st.sampled_from(["str", "bytes", "file"]))
+@example(",a,b\nr1,\x1c1,2\nr2,3,4\nr3,5,6\n", "file")
+@example(",a,b\r\nr1,1_000,2\r\n \r\nr2,١٢,4\r\nr3,5,6\r\n", "bytes")
+@example(',a,b\n"#r1\n",1,2\n"r,""2",3,4\nr3,5,6,\n', "str")
+def test_parse_table_matches_reference_parser(text, kind):
+    source = {"str": text, "bytes": text.encode("utf-8"),
+              "file": io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                                       encoding="utf-8", newline="")}[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(parse_table, source) == _outcome(_parse_reference, text)
