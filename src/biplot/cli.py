@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -49,20 +48,24 @@ def _read_table(path: str) -> DataTable:
         raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _write(path: str, text: str):
-    Path(path).write_text(text, encoding="utf-8")
-
-
-def _stream(path: str, write) -> None:
+def _stream(path, write) -> None:
     """Create the artifact ``path`` through ``write(fh)``; if that fails,
-    remove the partial file."""
-    fh = open(path, "w", encoding="utf-8")
+    remove the partial file. A path that cannot be written is an
+    InputError."""
     try:
-        with fh:
-            write(fh)
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
+        fh = open(path, "w", encoding="utf-8")
+        try:
+            with fh:
+                write(fh)
+        except BaseException:
+            Path(path).unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def _write(path, text: str) -> None:
+    _stream(path, lambda fh: fh.write(text))
 
 
 def _write_artifacts(args, model, qual, rep) -> None:
@@ -87,7 +90,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, **report.JSON_KWARGS) + "\n"
+    return "".join(report._json_chunks(doc)) + "\n"
 
 
 # Each panel maps (table, fit) to (report JSON, SVG, 2-D share). ``fit``
@@ -163,7 +166,10 @@ def _cmd_compare(args) -> int:
         if m not in _PANELS:
             raise InputError(f"unknown method {m!r}; choose from {', '.join(_PANELS)}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc}") from None
     fit = functools.cache(lambda: _analyze_table(table, 1.0, 2, "zscore"))
     summary = []
     for m in methods:

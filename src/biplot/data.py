@@ -101,9 +101,21 @@ def _text_stream(source):
     return io.StringIO(source.read(), newline="")
 
 
-def _read_header(reader, name: str) -> list[str]:
+def _records(reader, name: str):
+    """The ``(row number, cells)`` pairs of a ``csv`` reader, counted from 1
+    at the header. A ``csv.Error`` (such as a field over csv's size limit)
+    becomes an InputError naming the row."""
+    row = 0
     try:
-        header = next(reader)
+        for row, cells in enumerate(reader, start=1):
+            yield row, cells
+    except csv.Error as exc:
+        raise InputError(f"{name!r}: row {row + 1}: {exc}") from None
+
+
+def _read_header(records, name: str) -> list[str]:
+    try:
+        _, header = next(records)
     except StopIteration:
         raise InputError(f"{name!r}: empty input, expected a header row") from None
     col_labels = [c.strip() for c in header[1:]]
@@ -126,33 +138,36 @@ def _float_lines(fh):
 
 
 def _parse_fast(fh, name: str) -> DataTable:
-    """Header through ``csv``, then two ``np.loadtxt`` passes over the body:
-    the numbers (column 0 mapped to 0.0, so every row must have the same
-    number of fields) and the row labels. Raises ValueError for any input
-    it does not read exactly as ``_parse_reference`` would."""
-    col_labels = _read_header(csv.reader(iter(fh.readline, "")), name)
-    body = fh.tell()
+    """Header through ``csv``, then one ``np.loadtxt`` pass over the body
+    whose column-0 converter collects the raw row labels and returns 0.0
+    (so every row must have the same number of fields). Raises ValueError
+    for any input it does not read exactly as ``_parse_reference`` would."""
+    col_labels = _read_header(_records(csv.reader(iter(fh.readline, "")), name), name)
+    labels: list[str] = []
+
+    def label(cell: str) -> float:
+        labels.append(cell)
+        return 0.0
+
     with warnings.catch_warnings():
         # An empty body is reported by the reference parser instead.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        block = np.loadtxt(_float_lines(fh), ndmin=2, converters={0: lambda _: 0.0},
-                           **_LOADTXT)
-        if block.shape[0] < MIN_ROWS or block.shape[1] != len(col_labels) + 1:
-            raise ValueError("row count or field count needs the reference parser")
-        fh.seek(body)
-        labels = np.loadtxt(fh, ndmin=1, usecols=0, dtype=object, **_LOADTXT)
-    return DataTable(name, tuple(label.strip() for label in labels.tolist()),
+        block = np.loadtxt(_float_lines(fh), ndmin=2, converters={0: label}, **_LOADTXT)
+    if (block.shape[0] < MIN_ROWS or block.shape[1] != len(col_labels) + 1
+            or len(labels) != block.shape[0]):
+        raise ValueError("row count or field count needs the reference parser")
+    return DataTable(name, tuple(cell.strip() for cell in labels),
                      tuple(col_labels), np.ascontiguousarray(block[:, 1:]))
 
 
 def _parse_reference(source, name: str) -> DataTable:
     """Per-cell ``csv`` + ``float()`` parser: the fallback of
     ``parse_table`` and the reference its tests compare against."""
-    reader = csv.reader(_text_stream(source))
-    col_labels = _read_header(reader, name)
+    records = _records(csv.reader(_text_stream(source)), name)
+    col_labels = _read_header(records, name)
     row_labels: list[str] = []
     rows: list[list[float]] = []
-    for lineno, cells in enumerate(reader, start=2):
+    for lineno, cells in records:
         if not cells or (len(cells) == 1 and not cells[0].strip()):
             continue
         if len(cells) != len(col_labels) + 1:
@@ -173,14 +188,22 @@ def _parse_reference(source, name: str) -> DataTable:
     return DataTable(name, tuple(row_labels), tuple(col_labels), np.array(rows))
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted when it holds a comma, a quote or a
+    line break. ``csv.writer`` with ``lineterminator="\\n"`` leaves a bare
+    ``\\r`` unquoted, which the parser reads as the end of a line."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def serialize_table(t: DataTable) -> str:
-    """Render a DataTable as CSV; numbers use shortest round-trip repr."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(t.col_labels))
-    for label, row in zip(t.row_labels, t.values):
-        writer.writerow([label] + [repr(float(v)) for v in row])
-    return out.getvalue()
+    """Render a DataTable as CSV that ``parse_table`` reads back exactly;
+    numbers use shortest round-trip repr."""
+    lines = [",".join(map(_csv_field, ("",) + t.col_labels))]
+    for label, row in zip(t.row_labels, t.values.tolist()):
+        lines.append(",".join([_csv_field(label)] + list(map(repr, row))))
+    return "\n".join(lines) + "\n"
 
 
 def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, PreprocessRecord]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -11,6 +13,7 @@ from .engine import BiplotModel, QualityReport
 from .errors import InputError
 
 # The one JSON layout of every artifact: key-sorted, two-space indent.
+# _json_chunks writes it; json.dumps with these arguments is its reference.
 JSON_KWARGS = {"sort_keys": True, "indent": 2, "allow_nan": True}
 
 
@@ -31,7 +34,7 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         """Key-sorted JSON; floats keep their shortest round-trip form."""
-        return json.dumps(self.__dict__, **JSON_KWARGS) + "\n"
+        return "".join(_json_chunks(self.__dict__)) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -41,8 +44,76 @@ class AnalysisReport:
 def write_json(report: AnalysisReport, fp) -> None:
     """Write ``report.to_json()`` to the text file ``fp`` chunk by chunk,
     without building the document."""
-    json.dump(report.__dict__, fp, **JSON_KWARGS)
+    fp.writelines(_json_chunks(report.__dict__))
     fp.write("\n")
+
+
+# json's indented layout is written by its pure-Python encoder. The C
+# encoder below writes the same values without whitespace; _json_chunks
+# calls it on scalars and on slices of flat arrays and re-indents them.
+_ENCODE = json.JSONEncoder(allow_nan=True, separators=(",", ":")).encode
+# Values per C-encoder call: enough to amortize the call, few enough that
+# no array's whole text is held at once.
+_SLICE = 4096
+_NUMBERS = ({float}, {int}, {float, int})
+
+
+def _json_chunks(obj, level: int = 0):
+    """Yield ``json.dumps(obj, **JSON_KWARGS)`` in pieces; dict keys must be
+    ``str``.
+
+    A list of ``str``, a list of ``float``/``int`` and a list of
+    equal-length rows of those (exact types, so ``bool`` and numpy scalars
+    take the general path) are encoded by json's C encoder, up to
+    ``_SLICE`` values per call, and re-indented.
+    """
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(value, level + 1)
+            sep = "," + inner
+        yield pad + "}"
+        return
+    if not isinstance(obj, (list, tuple)):
+        yield _ENCODE(obj)
+        return
+    if not obj:
+        yield "[]"
+        return
+    comma = "," + inner
+    types = set(map(type, obj))
+    if types == {str}:
+        parts = ((comma.join(map(encode_basestring_ascii, obj[i:i + _SLICE])),)
+                 for i in range(0, len(obj), _SLICE))
+    elif types in _NUMBERS:
+        parts = ((_ENCODE(obj[i:i + _SLICE])[1:-1].replace(",", comma),)
+                 for i in range(0, len(obj), _SLICE))
+    elif (types == {list} and obj[0] and len(set(map(len, obj))) == 1
+          and set(map(type, chain.from_iterable(obj))) in _NUMBERS):
+        # A slice of rows encodes as [[a,b],[c,d]]; each row becomes an
+        # indented list one level down, and the rows are items of this one.
+        comma_in = comma + "  "
+        row_sep = inner + "]" + comma + "[" + inner + "  "
+        step = max(1, _SLICE // len(obj[0]))
+        parts = (("[" + inner + "  ",
+                  _ENCODE(obj[i:i + step])[2:-2].replace(",", comma_in)
+                  .replace("]" + comma_in + "[", row_sep),
+                  inner + "]")
+                 for i in range(0, len(obj), step))
+    else:
+        parts = (_json_chunks(item, level + 1) for item in obj)
+    sep = "[" + inner
+    for chunks in parts:
+        yield sep
+        yield from chunks
+        sep = comma
+    yield pad + "]"
 
 
 def _listify(a: np.ndarray) -> list:

@@ -230,3 +230,18 @@ def test_failed_svg_leaves_no_partial_file(tmp_path, case1_csv, capsys):
     assert main(["analyze", str(case1_csv), "--dims", "3", "--svg", str(svg)]) == 2
     assert "2-D model" in capsys.readouterr().err
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("command", ["case", "analyze", "compare"])
+def test_unwritable_artifact_path_exits_2(tmp_path, case1_csv, capsys, command):
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("not a directory", encoding="utf-8")
+    target, argv = {
+        "case": (tmp_path / "no" / "such" / "r.json", ["case", "1", "--json"]),
+        "analyze": (blocker / "plot.svg", ["analyze", str(case1_csv), "--svg"]),
+        "compare": (blocker / "sub", ["compare", str(case1_csv), "--out"]),
+    }[command]
+    assert main(argv + [str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["case1.csv", "file.txt"]

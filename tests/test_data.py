@@ -58,6 +58,39 @@ def test_roundtrip_serialize_reparse():
     assert np.array_equal(t4.values, t3.values)
 
 
+def test_overlong_csv_field_raises_input_error_naming_the_row():
+    big = "x" * 200_000  # over csv's default field limit of 131072
+    with pytest.raises(InputError, match=r"row 1: field larger than field limit"):
+        parse_table(f",{big},b\nr1,1,2\nr2,3,4\nr3,5,6\n", "t")
+    # 1_000 sends the table to the per-cell parser, which meets the long label
+    with pytest.raises(InputError, match=r"row 3: field larger than field limit"):
+        parse_table(f",a,b\nr1,1,2\n{big},1_000,2\nr3,5,6\n", "t")
+
+
+_LABEL = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def _tables(draw):
+    """Tables with unique, non-empty labels without outer whitespace and
+    finite values."""
+    n, p = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+    labels = st.lists(_LABEL, min_size=n + p, max_size=n + p, unique=True)
+    rows = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=p, max_size=p)
+    names = draw(labels)
+    return DataTable("t", tuple(names[:n]), tuple(names[n:]),
+                     np.array(draw(st.lists(rows, min_size=n, max_size=n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+@example(DataTable("t", ("r1", "r2", "r3"), ("0\r0", "b"), np.ones((3, 2))))
+def test_serialize_table_parses_back(t):
+    back = parse_table(serialize_table(t), "t")
+    assert (back.row_labels, back.col_labels) == (t.row_labels, t.col_labels)
+    assert back.values.tobytes() == t.values.tobytes()
+
+
 def test_preprocess_center():
     t = parse_table(",a,b\nr1,1,2\nr2,3,4\nr3,2,3\n", "m")
     x, rec = preprocess(t, "center")
