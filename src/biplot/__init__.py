@@ -8,14 +8,14 @@ from .engine import (BiplotModel, QualityReport, column_cosines, column_lengths,
                      row_distances, sqrt_biplot)
 from .errors import InputError, NumericalError
 from .linalg import SvdResult, low_rank_approx, sign_normalize, svd
-from .report import AnalysisReport, PlotSpec, build_report, render_svg
+from .report import AnalysisReport, PlotSpec, analyze, render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport", "BiplotModel", "CaModel", "DataTable", "InputError",
     "MdsEmbedding", "NumericalError", "PlotSpec", "PreprocessRecord",
-    "QualityReport", "SvdResult", "build_report", "case_csv", "classical_mds",
+    "QualityReport", "SvdResult", "analyze", "case_csv", "classical_mds",
     "column_cosines", "column_lengths", "correspondence_analysis", "fit_biplot",
     "gh", "jk", "load_case", "low_rank_approx", "parse_table", "pca_map",
     "pca_scores", "pearson", "preprocess", "quality", "reconstruct",

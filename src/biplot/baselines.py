@@ -45,14 +45,6 @@ class CaModel:
             a.flags.writeable = False
 
 
-def orient_axes(coords: np.ndarray) -> np.ndarray:
-    """Deterministic axis orientation: flip each column so that its
-    largest-|entry| (first index on ties) is nonnegative."""
-    pivots = np.argmax(np.abs(coords), axis=0)
-    flip = coords[pivots, np.arange(coords.shape[1])] < 0
-    return np.where(flip, -coords, coords)
-
-
 def classical_mds(d, dims: int = 2) -> MdsEmbedding:
     """Torgerson scaling of a symmetric distance matrix.
 
@@ -86,7 +78,8 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
     if keep == 0:
         raise InputError("no positive eigenvalues; input is not embeddable")
     top = evals[:keep]
-    coords = orient_axes(evecs[:, :keep] * np.sqrt(top))
+    coords = evecs[:, :keep] * np.sqrt(top)
+    coords *= linalg.axis_signs(coords)
     pos_mass = float(np.sum(evals[evals > tol]))
     strain = float((pos_mass - np.sum(top)) / pos_mass) if pos_mass > 0 else 0.0
     return MdsEmbedding(coords=coords, eigenvalues=top.copy(), strain=strain,

@@ -10,31 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, engine, report
-from .data import DataTable, case_csv, load_case, parse_table, preprocess
+from . import baselines, linalg, report
+from .data import DataTable, case_csv, load_case, parse_table
 from .engine import GAMMA_BY_TYPE
 from .errors import InputError, NumericalError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def _analyze_table(table: DataTable, gamma: float, dims: int, scale: str):
-    """Fit + quality + correlations + cosines for one table."""
-    x, record = preprocess(table, scale)
-    model = engine.fit_biplot(x, gamma=gamma, dims=dims,
-                              row_labels=table.row_labels,
-                              col_labels=table.col_labels,
-                              preprocess_record=record, name=table.name)
-    qual = engine.quality(model, x)
-    corr = engine.pearson(table)
-    cos = engine.column_cosines(model)
-    warnings = []
-    if np.isnan(cos).any():
-        warnings.append("cosines undefined for zero-length column markers")
-    rep = report.build_report(model, qual, corr, cos, warnings)
-    return model, qual, rep
 
 
 def _read_table(path: str) -> DataTable:
@@ -48,32 +31,30 @@ def _read_table(path: str) -> DataTable:
         raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _stream(path, write) -> None:
-    """Create the artifact ``path`` through ``write(fh)``; if that fails,
-    remove the partial file. A path that cannot be written is an
-    InputError."""
+def _write_all(artifacts) -> None:
+    """Create each ``(path, write)`` artifact through ``write(fh)``. If one
+    fails, remove every file this call made, so a failed command leaves no
+    artifact behind. A path that cannot be written is an InputError."""
+    made = []
     try:
-        fh = open(path, "w", encoding="utf-8")
         try:
-            with fh:
-                write(fh)
-        except BaseException:
+            for path, write in artifacts:
+                with open(path, "w", encoding="utf-8") as fh:
+                    made.append(path)
+                    write(fh)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from None
+    except BaseException:
+        for path in made:
             Path(path).unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
-
-
-def _write(path, text: str) -> None:
-    _stream(path, lambda fh: fh.write(text))
+        raise
 
 
 def _write_artifacts(args, model, qual, rep) -> None:
     """Stream the ``--json`` report and the ``--svg`` plot to their files."""
-    if args.json:
-        _stream(args.json, lambda fh: report.write_json(rep, fh))
-    if args.svg:
-        _stream(args.svg, lambda fh: report.write_svg(model, qual, fh))
+    _write_all([(path, write) for path, write in (
+        (args.json, lambda fh: report.write_json(rep, fh)),
+        (args.svg, lambda fh: report.write_svg(model, qual, fh))) if path])
 
 
 def _cmd_analyze(args) -> int:
@@ -82,15 +63,11 @@ def _cmd_analyze(args) -> int:
         gamma = args.gamma
     else:
         gamma = GAMMA_BY_TYPE[args.type or "jk"]
-    model, qual, rep = _analyze_table(table, gamma, args.dims, args.scale)
+    model, qual, rep = report.analyze(table, gamma, args.dims, args.scale)
     _write_artifacts(args, model, qual, rep)
     print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} "
           f"({report.method_name(gamma)}, dims={model.dims}, scale={args.scale})")
     return EXIT_OK
-
-
-def _json_doc(doc: dict) -> str:
-    return "".join(report._json_chunks(doc)) + "\n"
 
 
 # Each panel maps (table, fit) to (report JSON, SVG, 2-D share). ``fit``
@@ -113,12 +90,12 @@ def _pca_panel(table: DataTable, fit):
     svg = report.render_scatter_svg(scores, table.row_labels,
                                     f"PCA | 2-D share {share * 100:.1f}%",
                                     (float(shares[0] * 100.0), float(shares[1] * 100.0)))
-    return _json_doc(doc), svg, share
+    return report.dumps(doc), svg, share
 
 
 def _mds_panel(table: DataTable, fit):
     model, qual, _ = fit()
-    coords = baselines.orient_axes(model.row_markers)
+    coords = model.row_markers * linalg.axis_signs(model.row_markers)
     share = qual.qr_overall
     doc = {"method": "mds", "coords": coords.tolist(),
            "eigenvalues": (model.sigma_retained ** 2).tolist(),
@@ -126,7 +103,7 @@ def _mds_panel(table: DataTable, fit):
            "strain": 1.0 - share, "share_2d": share}
     svg = report.render_scatter_svg(coords, table.row_labels,
                                     f"Classical MDS | 2-D share {share * 100:.1f}%")
-    return _json_doc(doc), svg, share
+    return report.dumps(doc), svg, share
 
 
 def _ca_panel(table: DataTable, fit):
@@ -147,7 +124,7 @@ def _ca_panel(table: DataTable, fit):
                                     (float(shares[0]), float(shares[1])),
                                     col_coords=ca.col_coords,
                                     col_labels=table.col_labels)
-    return _json_doc(doc), svg, share
+    return report.dumps(doc), svg, share
 
 
 _PANELS = {"jk": _jk_panel, "pca": _pca_panel, "mds": _mds_panel, "ca": _ca_panel}
@@ -165,21 +142,21 @@ def _cmd_compare(args) -> int:
     for m in methods:
         if m not in _PANELS:
             raise InputError(f"unknown method {m!r}; choose from {', '.join(_PANELS)}")
+    fit = functools.cache(lambda: report.analyze(table))
+    # Every panel is built before any file is written.
+    panels = [(m, *_PANELS[m](table, fit)) for m in methods]
+    summary = [{"method": m, "share_2d": share} for m, _, _, share in panels]
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
-    fit = functools.cache(lambda: _analyze_table(table, 1.0, 2, "zscore"))
-    summary = []
-    for m in methods:
-        doc, svg, share = _PANELS[m](table, fit)
-        stem = f"{_slug(table.name)}_{m}"
-        _write(out_dir / f"{stem}.json", doc)
-        _write(out_dir / f"{stem}.svg", svg)
-        summary.append({"method": m, "share_2d": share})
-    _write(out_dir / f"{_slug(table.name)}_summary.json",
-           _json_doc({"dataset": table.name, "methods": summary}))
+    slug = _slug(table.name)
+    texts = [(out_dir / f"{slug}_{m}.{ext}", text) for m, doc, svg, _ in panels
+             for ext, text in (("json", doc), ("svg", svg))]
+    texts.append((out_dir / f"{slug}_summary.json",
+                  report.dumps({"dataset": table.name, "methods": summary})))
+    _write_all((path, lambda fh, text=text: fh.write(text)) for path, text in texts)
     for entry in summary:
         print(f"{entry['method']}: 2-D share = {entry['share_2d']:.4f}")
     return EXIT_OK
@@ -188,10 +165,10 @@ def _cmd_compare(args) -> int:
 def _cmd_case(args) -> int:
     table = load_case(args.case_id)
     if args.dump_csv:
-        _write(args.dump_csv, case_csv(args.case_id))
+        _write_all([(args.dump_csv, lambda fh: fh.write(case_csv(args.case_id)))])
         print(f"wrote {args.dump_csv}")
         return EXIT_OK
-    model, qual, rep = _analyze_table(table, 1.0, 2, "zscore")
+    model, qual, rep = report.analyze(table)
     _write_artifacts(args, model, qual, rep)
     print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} (jk, dims=2, scale=zscore)")
     return EXIT_OK
@@ -235,10 +212,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     if args.command == "analyze" and args.type is not None and args.gamma is not None:
         print("error: --type and --gamma are mutually exclusive", file=sys.stderr)
-        return EXIT_INPUT
-    if args.command == "analyze" and args.gamma is not None \
-            and not 0.0 <= args.gamma <= 1.0:
-        print(f"error: --gamma must lie in [0, 1], got {args.gamma}", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

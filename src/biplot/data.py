@@ -75,9 +75,9 @@ def parse_table(source, name: str) -> DataTable:
     The numeric block is read by numpy's C reader, one line at a time, so
     neither the text nor per-cell Python objects are held. Whatever that
     stricter reader rejects (``1_000``, non-ASCII digits, whitespace-only
-    lines, malformed rows) is parsed again from the start by the per-cell
-    ``csv`` + ``float()`` parser, which accepts it or raises the error that
-    names the row or cell.
+    lines, malformed rows, lines or labels over csv's field size limit) is
+    parsed again from the start by the per-cell ``csv`` + ``float()``
+    parser, which accepts it or raises the error that names the row or cell.
     """
     source = _text_stream(source)
     start = source.tell()
@@ -129,11 +129,14 @@ _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"'}
 
 
 def _float_lines(fh):
-    """The lines of ``fh``, refusing the ASCII separators U+001C-U+001F:
-    numpy strips them around a number as whitespace, ``float()`` does not."""
+    """The lines of ``fh``, refusing the ASCII separators U+001C-U+001F
+    (numpy strips them around a number as whitespace, ``float()`` does not)
+    and lines longer than csv's field size limit (numpy's reader has none)."""
     for line in fh:
         if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
             raise ValueError("ASCII separator character in the input")
+        if len(line) > csv.field_size_limit():
+            raise ValueError("line longer than csv's field size limit")
         yield line
 
 
@@ -146,6 +149,8 @@ def _parse_fast(fh, name: str) -> DataTable:
     labels: list[str] = []
 
     def label(cell: str) -> float:
+        if len(cell) > csv.field_size_limit():  # a label across quoted line breaks
+            raise ValueError("label longer than csv's field size limit")
         labels.append(cell)
         return 0.0
 

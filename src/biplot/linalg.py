@@ -56,7 +56,14 @@ def svd(values) -> SvdResult:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     tol = s[0] * max(m.shape) * RANK_TOL_FACTOR if s.size else 0.0
     rank = int(np.count_nonzero(s > tol))
-    return sign_normalize(SvdResult(U.copy(), s.copy(), Vt.T.copy(), rank))
+    return sign_normalize(SvdResult(U, s, Vt.T, rank))
+
+
+def axis_signs(m: np.ndarray) -> np.ndarray:
+    """Per column of ``m``: -1.0 where its largest-|entry| (first index on
+    ties) is negative, else 1.0."""
+    pivots = np.argmax(np.abs(m), axis=0)
+    return np.where(m[pivots, np.arange(m.shape[1])] < 0, -1.0, 1.0)
 
 
 def sign_normalize(res: SvdResult) -> SvdResult:
@@ -65,16 +72,11 @@ def sign_normalize(res: SvdResult) -> SvdResult:
     For each component k the entry of V[:, k] with the largest absolute
     value is made nonnegative (ties broken by the smallest row index);
     the matching column of U flips in tandem, so the reconstruction is
-    unchanged.
+    unchanged. U and V come back as new C-contiguous arrays.
     """
-    U = res.U.copy()
-    V = res.V.copy()
-    for k in range(V.shape[1]):
-        pivot = int(np.argmax(np.abs(V[:, k])))
-        if V[pivot, k] < 0:
-            V[:, k] = -V[:, k]
-            U[:, k] = -U[:, k]
-    return SvdResult(U, res.sigma.copy(), V, res.rank)
+    signs = axis_signs(res.V)
+    return SvdResult(np.multiply(res.U, signs, order="C"), res.sigma,
+                     np.multiply(res.V, signs, order="C"), res.rank)
 
 
 def low_rank_approx(res: SvdResult, dims: int) -> np.ndarray:

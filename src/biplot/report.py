@@ -9,7 +9,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .engine import BiplotModel, QualityReport
+from .data import DataTable, preprocess
+from .engine import (GAMMA_BY_TYPE, BiplotModel, QualityReport, column_cosines, fit_biplot,
+                     pearson, quality)
 from .errors import InputError
 
 # The one JSON layout of every artifact: key-sorted, two-space indent.
@@ -34,11 +36,17 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         """Key-sorted JSON; floats keep their shortest round-trip form."""
-        return "".join(_json_chunks(self.__dict__)) + "\n"
+        return dumps(self.__dict__)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         return cls(**json.loads(text))
+
+
+def dumps(doc) -> str:
+    """The text of every JSON artifact: ``json.dumps(doc, **JSON_KWARGS)``
+    and a newline."""
+    return "".join(_json_chunks(doc)) + "\n"
 
 
 def write_json(report: AnalysisReport, fp) -> None:
@@ -123,30 +131,23 @@ def _listify(a: np.ndarray) -> list:
 
 
 def method_name(gamma: float) -> str:
-    if gamma == 1.0:
-        return "jk"
-    if gamma == 0.0:
-        return "gh"
-    if gamma == 0.5:
-        return "sqrt"
-    return "biplot"
+    """The biplot type of ``gamma`` (jk, gh or sqrt), else "biplot"."""
+    return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
 
 
-def build_report(model: BiplotModel, quality: QualityReport,
-                 correlations: np.ndarray, cosines: np.ndarray,
-                 warnings: list[str] | None = None) -> AnalysisReport:
-    """Assemble a report; all pieces must describe the same fitted model."""
+def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
+            scale: str = "zscore") -> tuple[BiplotModel, QualityReport, AnalysisReport]:
+    """The analysis pipeline: preprocess ``table``, fit the rank-``dims``
+    biplot, judge its quality of representation and assemble the report."""
+    x, record = preprocess(table, scale)
+    model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,
+                       col_labels=table.col_labels, preprocess_record=record,
+                       name=table.name)
+    qual = quality(model, x)
+    correlations = pearson(table)
+    cosines = column_cosines(model)
     n, p = model.shape
-    if quality.qr_rows.shape != (n,) or quality.qr_cols.shape != (p,):
-        raise InputError("quality report does not match the model's dimensions")
-    if np.shape(correlations) != (p, p):
-        raise InputError(f"correlation matrix must be {p}x{p}, "
-                         f"got {np.shape(correlations)}")
-    if np.shape(cosines) != (p, p):
-        raise InputError(f"cosine matrix must be {p}x{p}, got {np.shape(cosines)}")
-    if len(model.row_labels) != n or len(model.col_labels) != p:
-        raise InputError("label lists do not match the model's dimensions")
-    return AnalysisReport(
+    return model, qual, AnalysisReport(
         dataset={
             "name": model.name,
             "n_rows": n,
@@ -168,14 +169,15 @@ def build_report(model: BiplotModel, quality: QualityReport,
         row_markers=_listify(model.row_markers),
         col_markers=_listify(model.col_markers),
         quality={
-            "qr_rows": _listify(quality.qr_rows),
-            "qr_cols": _listify(quality.qr_cols),
-            "qr_overall": quality.qr_overall,
-            "residual_frobenius": quality.residual_frobenius,
+            "qr_rows": _listify(qual.qr_rows),
+            "qr_cols": _listify(qual.qr_cols),
+            "qr_overall": qual.qr_overall,
+            "residual_frobenius": qual.residual_frobenius,
         },
         correlations=_listify(correlations),
         cosines=_listify(cosines),
-        warnings=list(warnings or []),
+        warnings=(["cosines undefined for zero-length column markers"]
+                  if np.isnan(cosines).any() else []),
     )
 
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import biplot
-from biplot import linalg
+from biplot import linalg, report
 from biplot.baselines import classical_mds
-from biplot.cli import _analyze_table, main
+from biplot.cli import main
 from biplot.data import case_csv, load_case, parse_table, preprocess
-from biplot.report import render_svg
+from biplot.report import analyze, render_svg
 
 
 @pytest.fixture
@@ -48,6 +48,7 @@ def test_analyze_type_gamma_mutually_exclusive(case1_csv, capsys):
 
 def test_analyze_gamma_out_of_range(case1_csv, capsys):
     assert main(["analyze", str(case1_csv), "--gamma", "1.5"]) == 2
+    assert "gamma must lie in [0, 1], got 1.5" in capsys.readouterr().err
 
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -220,7 +221,7 @@ def test_streamed_artifacts_equal_in_memory_ones(tmp_path, source):
         table = load_case(int(source))
         argv = ["case", source]
     assert main(argv + ["--json", str(j), "--svg", str(s)]) == 0
-    model, qual, rep = _analyze_table(table, 1.0, 2, "zscore")
+    model, qual, rep = analyze(table)
     assert j.read_bytes() == rep.to_json().encode("utf-8")
     assert s.read_bytes() == render_svg(model, qual).encode("utf-8")
 
@@ -230,6 +231,49 @@ def test_failed_svg_leaves_no_partial_file(tmp_path, case1_csv, capsys):
     assert main(["analyze", str(case1_csv), "--dims", "3", "--svg", str(svg)]) == 2
     assert "2-D model" in capsys.readouterr().err
     assert not svg.exists()
+
+
+def test_failed_svg_leaves_no_json_either(tmp_path, case1_csv, capsys):
+    j, s = tmp_path / "r.json", tmp_path / "p.svg"
+    assert main(["analyze", str(case1_csv), "--dims", "3", "--json", str(j),
+                 "--svg", str(s)]) == 2
+    assert "2-D model" in capsys.readouterr().err
+    assert not j.exists() and not s.exists()
+
+
+def test_failed_compare_leaves_no_panels(tmp_path, capsys):
+    bad = tmp_path / "neg.csv"
+    bad.write_text(",a,b\nr1,1,2\nr2,3,-1\nr3,5,6\n", encoding="utf-8")
+    assert main(["compare", str(bad), "--out", str(tmp_path / "panels")]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [bad]
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{csv}", "--json", "r.json", "--svg", "p.svg"],
+                                  ["case", "1", "--json", "r.json", "--svg", "p.svg"],
+                                  ["compare", "{csv}", "--methods", "jk,pca,mds,ca"]],
+                         ids=["analyze", "case", "compare"])
+def test_each_command_runs_the_pipeline_once(tmp_path, case1_csv, monkeypatch, argv):
+    calls = []
+    real_analyze = report.analyze
+
+    def counting_analyze(*args, **kwargs):
+        calls.append(args)
+        return real_analyze(*args, **kwargs)
+
+    monkeypatch.setattr(report, "analyze", counting_analyze)
+    monkeypatch.chdir(tmp_path)
+    assert main([a.format(csv=case1_csv) for a in argv]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("source", ["case1", "400x30"])
+def test_compare_jk_panel_is_the_analyze_report(tmp_path, case1_csv, source):
+    path = case1_csv if source == "case1" else _seeded_csv(tmp_path / "t.csv", 400, 30, 3)
+    out = tmp_path / "panels"
+    assert main(["compare", str(path), "--methods", "jk,pca,mds", "--out", str(out)]) == 0
+    table = parse_table(path.read_text(encoding="utf-8"), path.stem)
+    assert (out / f"{path.stem}_jk.json").read_bytes() == analyze(table)[2].to_json().encode()
 
 
 @pytest.mark.parametrize("command", ["case", "analyze", "compare"])

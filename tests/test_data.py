@@ -245,6 +245,13 @@ def _outcome(parse, source):
 @example(",a,b\nr1,\x1c1,2\nr2,3,4\nr3,5,6\n", "file")
 @example(",a,b\r\nr1,1_000,2\r\n \r\nr2,١٢,4\r\nr3,5,6\r\n", "bytes")
 @example(',a,b\n"#r1\n",1,2\n"r,""2",3,4\nr3,5,6,\n', "str")
+# Row labels over csv's field size limit, on one line and across a quoted
+# line break, a number over it, and a line over it whose fields are short.
+@example(",a,b\nr1,1,2\n" + "x" * 200_000 + ",3,4\nr3,5,6\n", "str")
+@example(',a,b\nr1,1,2\n"' + "x" * 100_000 + "\n" + "x" * 100_000 + '",3,4\nr3,5,6\n', "file")
+@example(",a,b\nr1," + "0" * 200_000 + "1,2\nr2,3,4\nr3,5,6\n", "str")
+@example("".join(f",c{j}" for j in range(70_000)) + "\n"
+         + "".join(f"r{i}" + ",1" * 70_000 + "\n" for i in range(3)), "bytes")
 def test_parse_table_matches_reference_parser(text, kind):
     source = {"str": text, "bytes": text.encode("utf-8"),
               "file": io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biplot.errors import InputError
 from biplot.linalg import (SvdResult, low_rank_approx, reconstruction,
@@ -53,6 +55,48 @@ def test_sign_normalize_tie_uses_first_index():
     out = sign_normalize(SvdResult(U, np.array([1.0]), V, 1))
     # index 0 already nonnegative, nothing flips
     assert np.allclose(out.V[:, 0], [0.5, -0.5])
+
+
+def _per_column_sign_rule(U, V):
+    """The sign rule one column at a time: the reference for ``svd``."""
+    U, V = U.copy(), V.copy()
+    for k in range(V.shape[1]):
+        pivot = int(np.argmax(np.abs(V[:, k])))
+        if V[pivot, k] < 0:
+            V[:, k] = -V[:, k]
+            U[:, k] = -U[:, k]
+    return U, V
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]),
+                     st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _sign_matrices(draw):
+    """Small matrices, often with exact ties in |V| (few distinct entries),
+    -0.0 entries and, with a copied column, rank deficiency."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    x = np.array(draw(st.lists(_ENTRIES, min_size=n * p, max_size=n * p))).reshape(n, p)
+    if p > 1 and draw(st.booleans()):
+        x[:, -1] = x[:, 0]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sign_matrices())
+@example(np.ones((2, 2)))
+@example(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+@example(np.array([[-0.0, 1.0], [0.0, -0.0], [-1.0, -0.0]]))
+@example(np.zeros((3, 2)))
+def test_svd_sign_rule_matches_per_column_loop(x):
+    U, s, Vt = np.linalg.svd(x, full_matrices=False)
+    U_ref, V_ref = _per_column_sign_rule(U, Vt.T)
+    res = svd(x)
+    assert res.U.tobytes() == U_ref.tobytes()
+    assert res.V.tobytes() == V_ref.tobytes()
+    assert res.sigma.tobytes() == s.tobytes()
+    assert res.U.flags.c_contiguous and res.V.flags.c_contiguous
 
 
 def test_low_rank_exact_when_dims_equals_rank():

@@ -6,25 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biplot.data import load_case, preprocess
-from biplot.engine import column_cosines, jk, pearson, quality
+from biplot.data import DataTable, load_case, preprocess
+from biplot.engine import column_cosines, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
-from biplot.report import (JSON_KWARGS, AnalysisReport, PlotSpec, _json_chunks, build_report,
-                           render_svg, write_json)
+from biplot.report import (JSON_KWARGS, AnalysisReport, PlotSpec, _json_chunks, analyze,
+                           method_name, render_svg, write_json)
 
 
 def fitted_case(cid=1):
     t = load_case(cid)
-    x, rec = preprocess(t, "zscore")
-    m = jk(x, 2, row_labels=t.row_labels, col_labels=t.col_labels,
-           preprocess_record=rec, name=t.name)
-    q = quality(m, x)
+    m, q, _ = analyze(t)
     return t, m, q
 
 
 def full_report(cid=1):
-    t, m, q = fitted_case(cid)
-    return t, m, q, build_report(m, q, pearson(t), column_cosines(m), [])
+    t = load_case(cid)
+    return (t, *analyze(t))
 
 
 def test_report_contains_case1_fit():
@@ -56,13 +53,35 @@ def test_report_completeness():
                                   "residual_frobenius"}
 
 
-def test_build_report_rejects_mixed_models():
-    t1, m1, q1 = fitted_case(1)
-    t2, m2, q2 = fitted_case(2)
-    with pytest.raises(InputError):
-        build_report(m1, q2, pearson(t1), column_cosines(m1), [])
-    with pytest.raises(InputError):
-        build_report(m1, q1, pearson(t2), column_cosines(m1), [])
+def test_analyze_is_the_library_chain():
+    t = load_case(3)
+    m, q, rep = analyze(t, gamma=0.5, dims=3, scale="center")
+    x, rec = preprocess(t, "center")
+    ref = sqrt_biplot(x, 3, row_labels=t.row_labels, col_labels=t.col_labels,
+                      preprocess_record=rec, name=t.name)
+    ref_q = quality(ref, x)
+    assert np.array_equal(m.row_markers, ref.row_markers)
+    assert np.array_equal(m.col_markers, ref.col_markers)
+    assert np.array_equal(q.qr_rows, ref_q.qr_rows) and q.qr_overall == ref_q.qr_overall
+    assert rep.method == {"name": "sqrt", "gamma": 0.5, "dims": 3}
+    assert rep.preprocess == {"mode": "center", "means": list(rec.means), "sds": list(rec.sds)}
+    assert rep.quality["qr_cols"] == ref_q.qr_cols.tolist()
+    assert rep.correlations == pearson(t).tolist()
+    assert rep.cosines == column_cosines(ref).tolist()
+    assert rep.warnings == []
+
+
+def test_analyze_warns_on_zero_length_column_markers():
+    t = DataTable("diag", ("a", "b", "c"), ("x", "y", "z"), np.diag([3.0, 2.0, 1.0]))
+    _, _, rep = analyze(t, scale="none")
+    assert np.isnan(rep.cosines[2][0])
+    assert rep.warnings == ["cosines undefined for zero-length column markers"]
+
+
+@pytest.mark.parametrize("gamma, name", [(1.0, "jk"), (0.0, "gh"), (0.5, "sqrt"),
+                                         (0.3, "biplot")])
+def test_method_name(gamma, name):
+    assert method_name(gamma) == name
 
 
 def test_svg_element_counts():
@@ -102,11 +121,10 @@ def test_svg_requires_two_dims():
 
 
 def test_vector_scale_changes_svg_not_report():
-    t, m, q = fitted_case(2)
-    rep1 = build_report(m, q, pearson(t), column_cosines(m), [])
+    t, m, q, rep1 = full_report(2)
     svg_a = render_svg(m, q, PlotSpec(vector_scale=1.0))
     svg_b = render_svg(m, q, PlotSpec(vector_scale=2.0))
-    rep2 = build_report(m, q, pearson(t), column_cosines(m), [])
+    _, _, rep2 = analyze(t)
     assert svg_a != svg_b
     assert rep1 == rep2
 
@@ -171,3 +189,4 @@ def test_write_json_equals_to_json():
     out = io.StringIO()
     write_json(rep, out)
     assert out.getvalue() == rep.to_json() == json.dumps(rep.__dict__, **JSON_KWARGS) + "\n"
+
