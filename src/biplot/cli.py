@@ -51,9 +51,9 @@ def _write_all(artifacts) -> None:
 
 
 def _write_artifacts(args, model, qual, rep) -> None:
-    """Stream the ``--json`` report and the ``--svg`` plot to their files."""
+    """Write the ``--json`` report and stream the ``--svg`` plot to their files."""
     _write_all([(path, write) for path, write in (
-        (args.json, lambda fh: report.write_json(rep, fh)),
+        (args.json, lambda fh: fh.write(rep.to_json())),
         (args.svg, lambda fh: report.write_svg(model, qual, fh))) if path])
 
 

@@ -55,7 +55,7 @@ class PreprocessRecord:
 
     Reapplying ``(values - means) / sds`` to the original table reproduces
     the preprocessed matrix exactly; for mode "none" and "center" the sds
-    are all 1.
+    are all 1. Means and sds are Python floats, never numpy scalars.
     """
 
     mode: str  # none | center | zscore
@@ -75,9 +75,10 @@ def parse_table(source, name: str) -> DataTable:
     The numeric block is read by numpy's C reader, one line at a time, so
     neither the text nor per-cell Python objects are held. Whatever that
     stricter reader rejects (``1_000``, non-ASCII digits, whitespace-only
-    lines, malformed rows, lines or labels over csv's field size limit) is
-    parsed again from the start by the per-cell ``csv`` + ``float()``
-    parser, which accepts it or raises the error that names the row or cell.
+    lines, malformed rows, lines over csv's field size limit, quoted fields
+    across line breaks) is parsed again from the start by the per-cell
+    ``csv`` + ``float()`` parser, which accepts it or raises the error that
+    names the row or cell.
     """
     source = _text_stream(source)
     start = source.tell()
@@ -130,13 +131,16 @@ _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"'}
 
 def _float_lines(fh):
     """The lines of ``fh``, refusing the ASCII separators U+001C-U+001F
-    (numpy strips them around a number as whitespace, ``float()`` does not)
-    and lines longer than csv's field size limit (numpy's reader has none)."""
+    (numpy strips them around a number as whitespace, ``float()`` does not),
+    lines over csv's field size limit (numpy's reader has none) and lines
+    ending inside a quoted field, which may pass the limit across lines."""
     for line in fh:
         if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
             raise ValueError("ASCII separator character in the input")
         if len(line) > csv.field_size_limit():
             raise ValueError("line longer than csv's field size limit")
+        if '"' in line and line.count('"') % 2:
+            raise ValueError("quoted field across a line break")
         yield line
 
 
@@ -149,8 +153,6 @@ def _parse_fast(fh, name: str) -> DataTable:
     labels: list[str] = []
 
     def label(cell: str) -> float:
-        if len(cell) > csv.field_size_limit():  # a label across quoted line breaks
-            raise ValueError("label longer than csv's field size limit")
         labels.append(cell)
         return 0.0
 
@@ -214,18 +216,19 @@ def serialize_table(t: DataTable) -> str:
 def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, PreprocessRecord]:
     """Column-wise preprocessing: none, center, or zscore (sample sd, n-1)."""
     x = t.values
+    ones = (1.0,) * x.shape[1]
     if mode == "none":
-        return x.copy(), PreprocessRecord("none", tuple(np.zeros(x.shape[1])),
-                                          tuple(np.ones(x.shape[1])))
+        return x.copy(), PreprocessRecord("none", (0.0,) * x.shape[1], ones)
     means = x.mean(axis=0)
     if mode == "center":
-        return x - means, PreprocessRecord("center", tuple(means), tuple(np.ones(x.shape[1])))
+        return x - means, PreprocessRecord("center", tuple(means.tolist()), ones)
     if mode == "zscore":
         sds = x.std(axis=0, ddof=1)
         if np.any(sds == 0):
             j = int(np.argmin(sds))
             raise InputError(f"column {t.col_labels[j]!r} is constant; zscore undefined")
-        return (x - means) / sds, PreprocessRecord("zscore", tuple(means), tuple(sds))
+        return (x - means) / sds, PreprocessRecord("zscore", tuple(means.tolist()),
+                                                   tuple(sds.tolist()))
     raise InputError(f"unknown preprocessing mode {mode!r}")
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import linalg
 from .data import DataTable, PreprocessRecord
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ def quality(model: BiplotModel, x) -> QualityReport:
     ``qr_rows[i]`` is the fraction of row i's squared norm captured by the
     retained axes, and symmetrically for columns; ``qr_overall`` is the
     variance-explained ratio of the retained singular values and
-    ``residual_frobenius`` the norm of the discarded ones.
+    ``residual_frobenius`` the norm of the discarded ones. ``x`` must be
+    the fitted matrix: a ratio above 1 beyond rounding raises NumericalError.
     """
     m = linalg.as_matrix(x)
     if m.shape != model.shape:
@@ -129,11 +130,19 @@ def quality(model: BiplotModel, x) -> QualityReport:
     col_coord = model.col_markers * s ** model.gamma
     row_sq = np.sum(m ** 2, axis=1)
     col_sq = np.sum(m ** 2, axis=0)
+    row_cap, col_cap = np.sum(row_coord ** 2, axis=1), np.sum(col_coord ** 2, axis=1)
+    # Rounding lets a captured norm pass its norm by a fraction of the whole
+    # matrix's (a row of norm 1e-17 may read 100); only that much is clipped.
+    tol = 1e-9 * float(np.sum(row_sq))
+    for kind, cap, sq, labels in (("row", row_cap, row_sq, model.row_labels),
+                                  ("column", col_cap, col_sq, model.col_labels)):
+        over = np.flatnonzero(cap - sq > tol)
+        if over.size:
+            raise NumericalError(f"{kind} {labels[over[0]]!r} has quality above 1: "
+                                 "x is not the matrix the model was fitted to")
     with np.errstate(invalid="ignore", divide="ignore"):
-        qr_rows = np.where(row_sq > 0, np.sum(row_coord ** 2, axis=1) / row_sq, 1.0)
-        qr_cols = np.where(col_sq > 0, np.sum(col_coord ** 2, axis=1) / col_sq, 1.0)
-    qr_rows = np.clip(qr_rows, 0.0, 1.0)
-    qr_cols = np.clip(qr_cols, 0.0, 1.0)
+        qr_rows = np.minimum(np.where(row_sq > 0, row_cap / row_sq, 1.0), 1.0)
+        qr_cols = np.minimum(np.where(col_sq > 0, col_cap / col_sq, 1.0), 1.0)
     total = float(np.sum(model.sigma_all ** 2))
     qr_overall = float(np.sum(s ** 2) / total) if total > 0 else 1.0
     # Eckart-Young: ||X - A B'||_F is the norm of the discarded singular values

@@ -89,4 +89,4 @@ def low_rank_approx(res: SvdResult, dims: int) -> np.ndarray:
 
 def reconstruction(res: SvdResult) -> np.ndarray:
     """Full reconstruction U diag(sigma) V'."""
-    return (res.U * res.sigma) @ res.V.T
+    return low_rank_approx(res, res.sigma.size)

@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .data import DataTable, preprocess
 from .engine import (GAMMA_BY_TYPE, BiplotModel, QualityReport, column_cosines, fit_biplot,
                      pearson, quality)
 from .errors import InputError
-
-# The one JSON layout of every artifact: key-sorted, two-space indent.
-# _json_chunks writes it; json.dumps with these arguments is its reference.
-JSON_KWARGS = {"sort_keys": True, "indent": 2, "allow_nan": True}
 
 
 @dataclass(frozen=True)
@@ -40,94 +35,15 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
+        """Read a report back; json's reader also takes the ``NaN`` of
+        reports written before ``null``."""
         return cls(**json.loads(text))
 
 
 def dumps(doc) -> str:
-    """The text of every JSON artifact: ``json.dumps(doc, **JSON_KWARGS)``
-    and a newline."""
-    return "".join(_json_chunks(doc)) + "\n"
-
-
-def write_json(report: AnalysisReport, fp) -> None:
-    """Write ``report.to_json()`` to the text file ``fp`` chunk by chunk,
-    without building the document."""
-    fp.writelines(_json_chunks(report.__dict__))
-    fp.write("\n")
-
-
-# json's indented layout is written by its pure-Python encoder. The C
-# encoder below writes the same values without whitespace; _json_chunks
-# calls it on scalars and on slices of flat arrays and re-indents them.
-_ENCODE = json.JSONEncoder(allow_nan=True, separators=(",", ":")).encode
-# Values per C-encoder call: enough to amortize the call, few enough that
-# no array's whole text is held at once.
-_SLICE = 4096
-_NUMBERS = ({float}, {int}, {float, int})
-
-
-def _json_chunks(obj, level: int = 0):
-    """Yield ``json.dumps(obj, **JSON_KWARGS)`` in pieces; dict keys must be
-    ``str``.
-
-    A list of ``str``, a list of ``float``/``int`` and a list of
-    equal-length rows of those (exact types, so ``bool`` and numpy scalars
-    take the general path) are encoded by json's C encoder, up to
-    ``_SLICE`` values per call, and re-indented.
-    """
-    pad = "\n" + "  " * level
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            yield sep + encode_basestring_ascii(key) + ": "
-            yield from _json_chunks(value, level + 1)
-            sep = "," + inner
-        yield pad + "}"
-        return
-    if not isinstance(obj, (list, tuple)):
-        yield _ENCODE(obj)
-        return
-    if not obj:
-        yield "[]"
-        return
-    comma = "," + inner
-    types = set(map(type, obj))
-    if types == {str}:
-        parts = ((comma.join(map(encode_basestring_ascii, obj[i:i + _SLICE])),)
-                 for i in range(0, len(obj), _SLICE))
-    elif types in _NUMBERS:
-        parts = ((_ENCODE(obj[i:i + _SLICE])[1:-1].replace(",", comma),)
-                 for i in range(0, len(obj), _SLICE))
-    elif (types == {list} and obj[0] and len(set(map(len, obj))) == 1
-          and set(map(type, chain.from_iterable(obj))) in _NUMBERS):
-        # A slice of rows encodes as [[a,b],[c,d]]; each row becomes an
-        # indented list one level down, and the rows are items of this one.
-        comma_in = comma + "  "
-        row_sep = inner + "]" + comma + "[" + inner + "  "
-        step = max(1, _SLICE // len(obj[0]))
-        parts = (("[" + inner + "  ",
-                  _ENCODE(obj[i:i + step])[2:-2].replace(",", comma_in)
-                  .replace("]" + comma_in + "[", row_sep),
-                  inner + "]")
-                 for i in range(0, len(obj), step))
-    else:
-        parts = (_json_chunks(item, level + 1) for item in obj)
-    sep = "[" + inner
-    for chunks in parts:
-        yield sep
-        yield from chunks
-        sep = comma
-    yield pad + "]"
-
-
-def _listify(a: np.ndarray) -> list:
-    """Nested lists of floats; NaN survives the JSON round trip via json's
-    NaN literal."""
-    return np.asarray(a, dtype=float).tolist()
+    """The text of every JSON artifact: strict JSON (NaN and infinities are
+    ``null``) with sorted keys, a two-space indent and a final newline."""
+    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode() + "\n"
 
 
 def method_name(gamma: float) -> str:
@@ -165,17 +81,17 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
             "gamma": model.gamma,
             "dims": model.dims,
         },
-        singular_values=_listify(model.sigma_all),
-        row_markers=_listify(model.row_markers),
-        col_markers=_listify(model.col_markers),
+        singular_values=model.sigma_all.tolist(),
+        row_markers=model.row_markers.tolist(),
+        col_markers=model.col_markers.tolist(),
         quality={
-            "qr_rows": _listify(qual.qr_rows),
-            "qr_cols": _listify(qual.qr_cols),
+            "qr_rows": qual.qr_rows.tolist(),
+            "qr_cols": qual.qr_cols.tolist(),
             "qr_overall": qual.qr_overall,
             "residual_frobenius": qual.residual_frobenius,
         },
-        correlations=_listify(correlations),
-        cosines=_listify(cosines),
+        correlations=correlations.tolist(),
+        cosines=cosines.tolist(),
         warnings=(["cosines undefined for zero-length column markers"]
                   if np.isnan(cosines).any() else []),
     )

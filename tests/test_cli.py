@@ -249,6 +249,35 @@ def test_failed_compare_leaves_no_panels(tmp_path, capsys):
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [bad]
 
 
+def test_undefined_cosines_are_written_as_null(tmp_path):
+    path, out = tmp_path / "diag.csv", tmp_path / "r.json"
+    path.write_text(",x,y,z\na,3,0,0\nb,0,2,0\nc,0,0,1\n", encoding="utf-8")
+    assert main(["analyze", str(path), "--scale", "none", "--json", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert doc["cosines"][2] == [None, None, None]
+    assert [row[2] for row in doc["cosines"]] == [None, None, None]
+    assert doc["warnings"] == ["cosines undefined for zero-length column markers"]
+
+
+@pytest.mark.parametrize("argv", [["case", "1", "--json", "r.json"], ["compare", "{csv}"]],
+                         ids=["case", "compare"])
+def test_svd_failure_exits_3_and_leaves_no_artifact(tmp_path, case1_csv, capsys,
+                                                    monkeypatch, argv):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.chdir(tmp_path)
+    assert main([a.format(csv=case1_csv) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: SVD did not converge") and "Traceback" not in err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [case1_csv]
+
+
 @pytest.mark.parametrize("argv", [["analyze", "{csv}", "--json", "r.json", "--svg", "p.svg"],
                                   ["case", "1", "--json", "r.json", "--svg", "p.svg"],
                                   ["compare", "{csv}", "--methods", "jk,pca,mds,ca"]],

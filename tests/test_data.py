@@ -1,4 +1,5 @@
 import io
+import os
 import warnings
 
 import numpy as np
@@ -114,6 +115,12 @@ def test_preprocess_none_passthrough():
     x, rec = preprocess(t, "none")
     assert np.array_equal(x, t.values)
     assert rec.mode == "none"
+
+
+@pytest.mark.parametrize("mode", ["none", "center", "zscore"])
+def test_preprocess_record_holds_python_floats(mode):
+    _, rec = preprocess(parse_table(MINIMAL, "m"), mode)
+    assert {type(v) for v in rec.means + rec.sds} == {float}
 
 
 def test_preprocess_zscore_rejects_constant_column():
@@ -246,10 +253,12 @@ def _outcome(parse, source):
 @example(",a,b\r\nr1,1_000,2\r\n \r\nr2,١٢,4\r\nr3,5,6\r\n", "bytes")
 @example(',a,b\n"#r1\n",1,2\n"r,""2",3,4\nr3,5,6,\n', "str")
 # Row labels over csv's field size limit, on one line and across a quoted
-# line break, a number over it, and a line over it whose fields are short.
+# line break, numbers over it, on one line and across a quoted line break,
+# and a line over it whose fields are short.
 @example(",a,b\nr1,1,2\n" + "x" * 200_000 + ",3,4\nr3,5,6\n", "str")
 @example(',a,b\nr1,1,2\n"' + "x" * 100_000 + "\n" + "x" * 100_000 + '",3,4\nr3,5,6\n', "file")
 @example(",a,b\nr1," + "0" * 200_000 + "1,2\nr2,3,4\nr3,5,6\n", "str")
+@example(',a,b\nr1,"' + " " * 100_000 + "\n" + " " * 100_000 + '1",2\nr2,3,4\nr3,5,6\n', "str")
 @example("".join(f",c{j}" for j in range(70_000)) + "\n"
          + "".join(f"r{i}" + ",1" * 70_000 + "\n" for i in range(3)), "bytes")
 def test_parse_table_matches_reference_parser(text, kind):
@@ -259,3 +268,13 @@ def test_parse_table_matches_reference_parser(text, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _outcome(parse_table, source) == _outcome(_parse_reference, text)
+
+
+def test_non_seekable_stream_takes_the_fallback():
+    text = ",a,b\nr1,1_000,2\nr2,3,4\nr3,5,6\n"
+    read_fd, write_fd = os.pipe()
+    with open(write_fd, "w", encoding="utf-8") as w:
+        w.write(text)
+    with open(read_fd, encoding="utf-8", newline="") as fh:
+        assert not fh.seekable()
+        assert _outcome(parse_table, fh) == _outcome(_parse_reference, text)

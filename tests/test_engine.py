@@ -5,7 +5,7 @@ from biplot.data import load_case, parse_table, preprocess
 from biplot.engine import (column_cosines, column_lengths, fit_biplot, gh, jk,
                            pca_scores, pearson, quality, reconstruct,
                            row_distances, sqrt_biplot)
-from biplot.errors import InputError
+from biplot.errors import InputError, NumericalError
 from biplot.linalg import low_rank_approx, svd
 
 
@@ -128,6 +128,21 @@ def test_quality_shape_mismatch():
     m = jk(x, 2)
     with pytest.raises(InputError):
         quality(m, x[:-1])
+
+
+def test_quality_rejects_a_matrix_the_model_was_not_fitted_to():
+    t, x, _ = case_matrix(1)
+    m = jk(x, 2, row_labels=t.row_labels, col_labels=t.col_labels)
+    first = t.row_labels[int(np.argmax(quality(m, x).qr_rows > 0.25))]
+    with pytest.raises(NumericalError, match=f"^row '{first}' has quality above 1"):
+        quality(m, 0.5 * x)
+
+
+def test_quality_clips_rounding_on_a_column_of_tiny_norm():
+    # The last column's captured norm is rounding (its ratio reads ~500 on
+    # OpenBLAS): clipped, not an error.
+    x = np.random.default_rng(0).normal(size=(6, 4)) * [1.0, 1.0, 1.0, 1e-16]
+    assert np.all(quality(jk(x, 2), x).qr_cols <= 1.0)
 
 
 def test_jk_row_metric_preservation():

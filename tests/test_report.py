@@ -1,16 +1,15 @@
-import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biplot.data import DataTable, load_case, preprocess
 from biplot.engine import column_cosines, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
-from biplot.report import (JSON_KWARGS, AnalysisReport, PlotSpec, _json_chunks, analyze,
-                           method_name, render_svg, write_json)
+from biplot.report import AnalysisReport, PlotSpec, analyze, dumps, method_name, render_svg
 
 
 def fitted_case(cid=1):
@@ -135,58 +134,46 @@ def test_vector_scale_must_be_positive():
         render_svg(m, q, PlotSpec(vector_scale=0.0))
 
 
-# Differential test: the chunked JSON writer against json.dumps with the
-# layout it must reproduce.
+# The JSON writer: strict JSON that reads back to the document, with
+# non-finite floats as null.
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"),
                                                   -0.0, 5e-324]))
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
-                     _FLOATS.map(np.float64), st.text())
-_ROW = st.lists(st.one_of(st.integers(), _FLOATS), min_size=1, max_size=4)
-
-
-@st.composite
-def _matrices(draw):
-    """Lists of rows of numbers: equal-length ones (the C-encoder path) or,
-    after an edit, ragged or holding a bool or a numpy scalar."""
-    rows = draw(st.lists(_ROW, min_size=1, max_size=4))
-    width = len(rows[0])
-    rows = [(row * width)[:width] for row in rows]
-    edit = draw(st.sampled_from(["none", "ragged", "bool", "numpy"]))
-    if edit == "ragged":
-        rows[-1] = rows[-1] + [1.5]
-    elif edit != "none":
-        rows[-1][0] = True if edit == "bool" else np.float64(rows[-1][0])
-    return rows
-
-
+_INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
 _JSON = st.recursive(
-    st.one_of(_SCALARS, st.lists(_FLOATS), st.lists(st.integers()), st.lists(st.text()),
-              _matrices()),
+    st.one_of(_SCALARS, st.lists(_FLOATS), st.lists(_INTS), st.lists(_TEXT),
+              st.lists(st.lists(_FLOATS, min_size=2, max_size=2))),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(st.text(), inner, max_size=4)),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
     max_leaves=20)
+
+
+def _finite_or_none(doc):
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    if isinstance(doc, list):
+        return [_finite_or_none(v) for v in doc]
+    if isinstance(doc, dict):
+        return {k: _finite_or_none(v) for k, v in doc.items()}
+    return doc
+
+
+def _refuse(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 @settings(max_examples=500, deadline=None)
 @given(_JSON)
-@example({"é€": ["ü", "a,b", '"'], "": {}, "x": [], "m": [[1, 2.5], [3, 4.0]]})
-def test_json_chunks_match_json_dumps(obj):
-    assert "".join(_json_chunks(obj)) == json.dumps(obj, **JSON_KWARGS)
+def test_dumps_reads_back_as_strict_json(doc):
+    text = dumps(doc)
+    assert text.endswith("\n")
+    assert json.loads(text, parse_constant=_refuse) == _finite_or_none(doc)
 
 
-@pytest.mark.parametrize("obj", [[0.1 * i for i in range(4095)], [0.1 * i for i in range(4096)],
-                                 [0.1 * i for i in range(4097)], list(range(4097)),
-                                 [str(i) for i in range(4097)],
-                                 np.arange(9000.0).reshape(3, 3000).tolist()],
-                         ids=["4095", "4096", "4097", "ints", "strings", "3x3000"])
-def test_json_chunks_across_slice_boundaries(obj):
-    assert "".join(_json_chunks(obj)) == json.dumps(obj, **JSON_KWARGS)
-
-
-def test_write_json_equals_to_json():
-    _, _, _, rep = full_report(1)
-    out = io.StringIO()
-    write_json(rep, out)
-    assert out.getvalue() == rep.to_json() == json.dumps(rep.__dict__, **JSON_KWARGS) + "\n"
-
+def test_dumps_layout():
+    doc = {"b": [1.5, float("nan"), 1e16], "a": {"é": "ü", "z": [], "y": {}}, "": 1e-05}
+    assert dumps(doc) == ('{\n  "": 0.00001,\n  "a": {\n    "y": {},\n    "z": [],\n'
+                          '    "é": "ü"\n  },\n  "b": [\n    1.5,\n    null,\n    1e16\n'
+                          '  ]\n}\n')
