@@ -1,5 +1,5 @@
-"""Comparison methods: classical (Torgerson) MDS, correspondence
-analysis with symmetric scaling, and a z-scored PCA map."""
+"""Comparison methods: classical (Torgerson) MDS and correspondence
+analysis with symmetric scaling."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import DataTable, preprocess
-from .engine import pca_scores
+from .data import DataTable
 from .errors import InputError
 
 
@@ -128,8 +127,3 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
                    total_inertia=float(np.sum(inertias)),
                    row_masses=r.copy(), col_masses=c.copy())
 
-
-def pca_map(t: DataTable, dims: int = 2) -> np.ndarray:
-    """PCA scores of the z-scored table (the standard PCA panel)."""
-    z, _ = preprocess(t, "zscore")
-    return pca_scores(z, dims)

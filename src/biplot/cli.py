@@ -32,16 +32,17 @@ def _read_table(path: str) -> DataTable:
 
 
 def _write_all(artifacts) -> None:
-    """Create each ``(path, write)`` artifact through ``write(fh)``. If one
-    fails, remove every file this call made, so a failed command leaves no
-    artifact behind. A path that cannot be written is an InputError."""
+    """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str.
+    If one fails, remove every file this call made, so a failed command
+    leaves no artifact behind. A path that cannot be written is an
+    InputError."""
     made = []
     try:
         try:
-            for path, write in artifacts:
+            for path, lines in artifacts:
                 with open(path, "w", encoding="utf-8") as fh:
                     made.append(path)
-                    write(fh)
+                    fh.writelines(lines)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from None
     except BaseException:
@@ -50,24 +51,24 @@ def _write_all(artifacts) -> None:
         raise
 
 
-def _write_artifacts(args, model, qual, rep) -> None:
-    """Write the ``--json`` report and stream the ``--svg`` plot to their files."""
-    _write_all([(path, write) for path, write in (
-        (args.json, lambda fh: fh.write(rep.to_json())),
-        (args.svg, lambda fh: report.write_svg(model, qual, fh))) if path])
+def _analyze(table: DataTable, args, gamma: float, dims: int, scale: str) -> int:
+    """Run the pipeline on ``table``, write the ``--json`` report and stream
+    the ``--svg`` plot to their files, and print the overall fit."""
+    model, qual, rep = report.analyze(table, gamma, dims, scale)
+    artifacts = []
+    if args.json:
+        artifacts.append((args.json, [rep.to_json()]))
+    if args.svg:
+        artifacts.append((args.svg, report.svg_lines(model, qual)))
+    _write_all(artifacts)
+    print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} "
+          f"({report.method_name(gamma)}, dims={model.dims}, scale={scale})")
+    return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    table = _read_table(args.input)
-    if args.gamma is not None:
-        gamma = args.gamma
-    else:
-        gamma = GAMMA_BY_TYPE[args.type or "jk"]
-    model, qual, rep = report.analyze(table, gamma, args.dims, args.scale)
-    _write_artifacts(args, model, qual, rep)
-    print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} "
-          f"({report.method_name(gamma)}, dims={model.dims}, scale={args.scale})")
-    return EXIT_OK
+    gamma = args.gamma if args.gamma is not None else GAMMA_BY_TYPE[args.type or "jk"]
+    return _analyze(_read_table(args.input), args, gamma, args.dims, args.scale)
 
 
 # Each panel maps (table, fit) to (report JSON, SVG, 2-D share). ``fit``
@@ -152,26 +153,22 @@ def _cmd_compare(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
     slug = _slug(table.name)
-    texts = [(out_dir / f"{slug}_{m}.{ext}", text) for m, doc, svg, _ in panels
-             for ext, text in (("json", doc), ("svg", svg))]
-    texts.append((out_dir / f"{slug}_summary.json",
-                  report.dumps({"dataset": table.name, "methods": summary})))
-    _write_all((path, lambda fh, text=text: fh.write(text)) for path, text in texts)
+    artifacts = [(out_dir / f"{slug}_{m}.{ext}", [text]) for m, doc, svg, _ in panels
+                 for ext, text in (("json", doc), ("svg", svg))]
+    artifacts.append((out_dir / f"{slug}_summary.json",
+                      [report.dumps({"dataset": table.name, "methods": summary})]))
+    _write_all(artifacts)
     for entry in summary:
         print(f"{entry['method']}: 2-D share = {entry['share_2d']:.4f}")
     return EXIT_OK
 
 
 def _cmd_case(args) -> int:
-    table = load_case(args.case_id)
     if args.dump_csv:
-        _write_all([(args.dump_csv, lambda fh: fh.write(case_csv(args.case_id)))])
+        _write_all([(args.dump_csv, [case_csv(args.case_id)])])
         print(f"wrote {args.dump_csv}")
         return EXIT_OK
-    model, qual, rep = report.analyze(table)
-    _write_artifacts(args, model, qual, rep)
-    print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} (jk, dims=2, scale=zscore)")
-    return EXIT_OK
+    return _analyze(load_case(args.case_id), args, gamma=1.0, dims=2, scale="zscore")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -321,10 +321,7 @@ _CASES = {
 
 def load_case(case_id: int) -> DataTable:
     """Return one of the three embedded case-study tables."""
-    if case_id not in _CASES:
-        raise InputError(f"unknown case id {case_id!r}, expected 1, 2 or 3")
-    name, text = _CASES[case_id]
-    return parse_table(text, name)
+    return parse_table(case_csv(case_id), _CASES[case_id][0])
 
 
 def case_csv(case_id: int) -> str:

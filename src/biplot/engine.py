@@ -170,11 +170,6 @@ def column_cosines(model: BiplotModel) -> np.ndarray:
     return C
 
 
-def column_lengths(model: BiplotModel) -> np.ndarray:
-    """Euclidean lengths of the column markers."""
-    return np.linalg.norm(model.col_markers, axis=1)
-
-
 def row_distances(model: BiplotModel) -> np.ndarray:
     """Euclidean distances between row markers."""
     A = model.row_markers

@@ -43,7 +43,8 @@ class AnalysisReport:
 def dumps(doc) -> str:
     """The text of every JSON artifact: strict JSON (NaN and infinities are
     ``null``) with sorted keys, a two-space indent and a final newline."""
-    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode() + "\n"
+    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                        | orjson.OPT_APPEND_NEWLINE).decode()
 
 
 def method_name(gamma: float) -> str:
@@ -97,15 +98,16 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
     )
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    """Rendering parameters; ``vector_scale=None`` picks a scale so the
-    longest column marker spans 40% of the plot half-width."""
-
-    width: int = 800
-    height: int = 600
-    vector_scale: float | None = None
-    show_labels: bool = True
+_WIDTH, _HEIGHT = 800, 600
+_MARGIN = 60.0
+_CX, _CY = _WIDTH / 2.0, _HEIGHT / 2.0
+# Pixels from the centre to the nearest edge of the plot area.
+_HALF = min(_WIDTH, _HEIGHT) / 2.0 - _MARGIN
+_ARROW_HEAD = ('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6" '
+               'refY="3" orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#cc0000"/>'
+               '</marker></defs>\n')
+# The characters XML 1.0 forbids in a document.
+_NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
 
 
 def _fmt(v: float) -> str:
@@ -114,21 +116,18 @@ def _fmt(v: float) -> str:
 
 
 def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+    """``text`` as SVG character data: markup escaped and each character
+    XML 1.0 forbids replaced by U+FFFD."""
+    if not text.isprintable():  # a cheap test that almost every label passes
+        text = text.translate(_NOT_XML)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-_MARGIN = 60.0
-_ARROW_HEAD = ('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6" '
-               'refY="3" orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#cc0000"/>'
-               '</marker></defs>\n')
-
-
-def _frame(spec: PlotSpec, shares, legend: str, body, defs: str = ""):
+def _frame(shares, legend: str, *body, defs: str = ""):
     """Lines of one SVG panel: header, background, both axes, the axis
     labels when ``shares`` (percent per axis) is given, the ``body`` lines,
     the legend, ``defs`` and the closing tag."""
-    w, h, m = spec.width, spec.height, _MARGIN
-    cx, cy = w / 2.0, h / 2.0
+    w, h, m, cx, cy = _WIDTH, _HEIGHT, _MARGIN, _CX, _CY
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
            f'height="{h}" viewBox="0 0 {w} {h}">\n')
     yield f'<rect width="{w}" height="{h}" fill="white"/>\n'
@@ -141,7 +140,8 @@ def _frame(spec: PlotSpec, shares, legend: str, body, defs: str = ""):
                f'text-anchor="end" font-size="12">Axis 1 ({shares[0]:.1f}%)</text>\n')
         yield (f'<text class="axis-label" x="{_fmt(cx + 8)}" y="{_fmt(m + 4)}" '
                f'font-size="12">Axis 2 ({shares[1]:.1f}%)</text>\n')
-    yield from body
+    for lines in body:
+        yield from lines
     yield (f'<text class="legend" x="{_fmt(m)}" y="{_fmt(h - m / 2)}" '
            f'font-size="12">{_escape(legend)}</text>\n')
     if defs:
@@ -149,95 +149,76 @@ def _frame(spec: PlotSpec, shares, legend: str, body, defs: str = ""):
     yield '</svg>\n'
 
 
-def _biplot_lines(model: BiplotModel, quality: QualityReport, spec: PlotSpec):
-    """Check the model and the spec, lay the biplot out and return the
-    generator of its SVG lines."""
+def _place(*coords: np.ndarray):
+    """Pixel positions of n x 2 coordinate sets drawn on one scale, which
+    puts the largest |coordinate| of any set ``_HALF`` from the centre."""
+    unit = _HALF / (max(float(np.max(np.abs(c))) for c in coords) or 1.0)
+    return [zip((_CX + c[:, 0] * unit).tolist(), (_CY - c[:, 1] * unit).tolist())
+            for c in coords]
+
+
+def _row_dots(points, labels):
+    """A labelled dot at each row's position, in every panel."""
+    for (x, y), label in zip(points, labels, strict=True):
+        yield f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n'
+        yield (f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
+               f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
+
+
+def svg_lines(model: BiplotModel, quality: QualityReport, *, vector_scale: float | None = None):
+    """Lines of the deterministic 2-D biplot: dots for rows, arrows from
+    the origin for columns, axes annotated with variance shares.
+    ``vector_scale=None`` scales the longest column marker to 40% of the
+    largest row coordinate. The model and the scale are checked when this
+    is called, before any line is generated."""
     if model.dims != 2:
         raise InputError(f"SVG rendering requires a 2-D model, got dims={model.dims}")
-    if spec.vector_scale is not None and not spec.vector_scale > 0:
-        raise InputError(f"vector_scale must be positive, got {spec.vector_scale}")
-    A = model.row_markers
-    B = model.col_markers
+    if vector_scale is not None and not vector_scale > 0:
+        raise InputError(f"vector_scale must be positive, got {vector_scale}")
+    A, B = model.row_markers, model.col_markers
+    if vector_scale is None:
+        row_extent = float(np.max(np.abs(A))) or 1.0
+        vector_scale = 0.4 * row_extent / (float(np.max(np.linalg.norm(B, axis=1))) or 1.0)
+    rows, cols = _place(A, B * vector_scale)
 
-    row_extent = float(np.max(np.abs(A))) if A.size else 1.0
-    col_extent = float(np.max(np.linalg.norm(B, axis=1))) if B.size else 1.0
-    row_extent = row_extent or 1.0
-    col_extent = col_extent or 1.0
-    scale = spec.vector_scale if spec.vector_scale is not None \
-        else 0.4 * row_extent / col_extent
-    Bs = B * scale
-
-    half_w = spec.width / 2.0 - _MARGIN
-    half_h = spec.height / 2.0 - _MARGIN
-    extent = max(row_extent, float(np.max(np.abs(Bs))) if Bs.size else 0.0) or 1.0
-    unit = min(half_w, half_h) / extent
-    cx, cy = spec.width / 2.0, spec.height / 2.0
-
-    def body():
-        for (bx, by), label in zip(Bs.tolist(), model.col_labels, strict=True):
-            x, y = cx + bx * unit, cy - by * unit
-            yield (f'<line class="arrow" x1="{_fmt(cx)}" y1="{_fmt(cy)}" '
+    def arrows():
+        for (x, y), label in zip(cols, model.col_labels, strict=True):
+            yield (f'<line class="arrow" x1="{_fmt(_CX)}" y1="{_fmt(_CY)}" '
                    f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#cc0000" '
                    f'stroke-width="1.5" marker-end="url(#head)"/>\n')
-            if spec.show_labels:
-                yield (f'<text class="col-label" x="{_fmt(x + 4)}" y="{_fmt(y - 4)}" '
-                       f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
-        for (ax, ay), label in zip(A.tolist(), model.row_labels, strict=True):
-            x, y = cx + ax * unit, cy - ay * unit
-            yield f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n'
-            if spec.show_labels:
-                yield (f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
-                       f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
+            yield (f'<text class="col-label" x="{_fmt(x + 4)}" y="{_fmt(y - 4)}" '
+                   f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
 
-    shares = model.axis_variance_shares() * 100.0
     legend = (f'{method_name(model.gamma).upper()} biplot | '
-              f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{scale:.4g}')
-    return _frame(spec, shares, legend, body(), _ARROW_HEAD)
+              f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{vector_scale:.4g}')
+    return _frame(model.axis_variance_shares() * 100.0, legend,
+                  arrows(), _row_dots(rows, model.row_labels), defs=_ARROW_HEAD)
 
 
-def render_svg(model: BiplotModel, quality: QualityReport,
-               spec: PlotSpec = PlotSpec()) -> str:
-    """Deterministic 2-D biplot: dots for rows, arrows from the origin for
-    columns, axes annotated with variance shares."""
-    return "".join(_biplot_lines(model, quality, spec))
-
-
-def write_svg(model: BiplotModel, quality: QualityReport, fp,
-              spec: PlotSpec = PlotSpec()) -> None:
-    """Write ``render_svg(model, quality, spec)`` to the text file ``fp``
-    line by line, without building the document."""
-    fp.writelines(_biplot_lines(model, quality, spec))
+def render_svg(model: BiplotModel, quality: QualityReport, *,
+               vector_scale: float | None = None) -> str:
+    """The document of ``svg_lines(model, quality, vector_scale=...)``."""
+    return "".join(svg_lines(model, quality, vector_scale=vector_scale))
 
 
 def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
-                       shares: tuple[float, float] | None = None,
-                       spec: PlotSpec = PlotSpec(),
+                       shares: tuple[float, float] | None = None, *,
                        col_coords: np.ndarray | None = None,
-                       col_labels: tuple[str, ...] | None = None) -> str:
-    """Deterministic scatter panel for the baseline methods; an optional
-    second point set (column coordinates) is drawn as squares."""
+                       col_labels: tuple[str, ...] = ()) -> str:
+    """Deterministic scatter panel for the baseline methods: the biplot's
+    row dots without its arrows. Column coordinates, if given, are drawn
+    as labelled squares on the same scale."""
     pts = np.asarray(coords, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InputError(f"scatter rendering needs n x 2 coordinates, got {pts.shape}")
-    all_pts = pts if col_coords is None else np.vstack([pts, col_coords])
-    extent = float(np.max(np.abs(all_pts))) or 1.0
-    unit = (min(spec.width, spec.height) / 2.0 - _MARGIN) / extent
-    cx, cy = spec.width / 2.0, spec.height / 2.0
+    sets = [pts] if col_coords is None else [pts, np.asarray(col_coords, dtype=float)]
+    rows, *cols = _place(*sets)
 
-    def body():
-        for (px, py), label in zip(pts.tolist(), labels, strict=True):
-            x, y = cx + px * unit, cy - py * unit
-            yield f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n'
-            if spec.show_labels:
-                yield (f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
-                       f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
-        if col_coords is not None:
-            for j, (qx, qy) in enumerate(np.asarray(col_coords, dtype=float).tolist()):
-                x, y = cx + qx * unit, cy - qy * unit
-                yield (f'<rect class="col-dot" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
-                       f'width="6" height="6" fill="#cc0000"/>\n')
-                if spec.show_labels and col_labels is not None:
-                    yield (f'<text class="col-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
-                           f'font-size="11" fill="#cc0000">{_escape(col_labels[j])}</text>\n')
+    def squares(points):
+        for (x, y), label in zip(points, col_labels, strict=True):
+            yield (f'<rect class="col-dot" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
+                   f'width="6" height="6" fill="#cc0000"/>\n')
+            yield (f'<text class="col-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
+                   f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
 
-    return "".join(_frame(spec, shares, title, body()))
+    return "".join(_frame(shares, title, _row_dots(rows, labels), *map(squares, cols)))

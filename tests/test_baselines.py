@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from biplot.baselines import classical_mds, correspondence_analysis, pca_map
+from biplot.baselines import classical_mds, correspondence_analysis
 from biplot.data import load_case, preprocess
-from biplot.engine import jk
+from biplot.engine import jk, pca_scores
 from biplot.errors import InputError
 
 
@@ -129,7 +129,7 @@ def test_ca_rejects_negative_and_zero_margins():
 
 def test_pca_map_scores_uncorrelated():
     t = load_case(1)
-    scores = pca_map(t, 2)
+    scores = pca_scores(preprocess(t, "zscore")[0], 2)
     corr = np.corrcoef(scores, rowvar=False)
     assert abs(corr[0, 1]) <= 1e-9
 
@@ -138,12 +138,12 @@ def test_pca_map_equals_jk_row_markers():
     t = load_case(1)
     x, _ = preprocess(t, "zscore")
     m = jk(x, 2)
-    assert np.max(np.abs(pca_map(t, 2) - m.row_markers)) <= 1e-10
+    assert np.max(np.abs(pca_scores(x, 2) - m.row_markers)) <= 1e-10
 
 
 def test_case1_spain_italy_mutual_nearest_neighbors():
     t = load_case(1)
-    scores = pca_map(t, 2)
+    scores = pca_scores(preprocess(t, "zscore")[0], 2)
     subset = ["Spain", "Italy", "Bulgaria", "Finland"]
     idx = [t.row_labels.index(s) for s in subset]
     pts = scores[idx]

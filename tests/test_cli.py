@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -318,3 +319,39 @@ def test_unwritable_artifact_path_exits_2(tmp_path, case1_csv, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["case1.csv", "file.txt"]
+
+
+def test_labels_with_characters_xml_forbids_give_well_formed_svgs(tmp_path):
+    path = tmp_path / "ctl.csv"
+    path.write_text(',a\x01,b\x1fc,d\n"r\x01x",1,2,4\nr\x1f2,3,4,1\nr3,5,7,2\nr4,2,9,3\n',
+                    encoding="utf-8")
+    j, s, out = tmp_path / "r.json", tmp_path / "p.svg", tmp_path / "panels"
+    assert main(["analyze", str(path), "--json", str(j), "--svg", str(s)]) == 0
+    assert main(["compare", str(path), "--out", str(out)]) == 0
+    svgs = [s, *out.glob("*.svg")]
+    assert len(svgs) == 5
+    for svg in svgs:
+        texts = [e.text for e in ET.parse(svg).getroot().iter() if e.tag.endswith("text")]
+        assert "r\ufffdx" in texts and "r\ufffd2" in texts
+    assert {"a\ufffd", "b\ufffdc"} <= set(ET.parse(s).getroot().itertext())
+    dataset = json.loads(j.read_text(encoding="utf-8"))["dataset"]
+    assert dataset["row_labels"][:2] == ["r\x01x", "r\x1f2"]
+    assert dataset["col_labels"] == ["a\x01", "b\x1fc", "d"]
+
+
+def test_analyze_dims3_json_without_svg(tmp_path, case1_csv):
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(case1_csv), "--dims", "3", "--json", str(out)]) == 0
+    markers = json.loads(out.read_text(encoding="utf-8"))["row_markers"]
+    assert {len(row) for row in markers} == {3}
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3])
+def test_case_dump_csv_writes_the_embedded_text(tmp_path, case_id):
+    out = tmp_path / "t.csv"
+    assert main(["case", str(case_id), "--dump-csv", str(out)]) == 0
+    assert out.read_bytes() == case_csv(case_id).encode("utf-8")
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in biplot.__all__ if not hasattr(biplot, name)] == []

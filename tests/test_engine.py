@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from biplot.data import load_case, parse_table, preprocess
-from biplot.engine import (column_cosines, column_lengths, fit_biplot, gh, jk,
-                           pca_scores, pearson, quality, reconstruct,
-                           row_distances, sqrt_biplot)
+from biplot.engine import (column_cosines, fit_biplot, gh, jk, pca_scores, pearson, quality,
+                           reconstruct, row_distances, sqrt_biplot)
 from biplot.errors import InputError, NumericalError
 from biplot.linalg import low_rank_approx, svd
 
@@ -198,9 +197,9 @@ def test_column_lengths():
     n = x.shape[0]
     full = gh(x, svd(x).rank)
     # z-scored data: every column has sample sd 1, so length sqrt(n-1)
-    assert np.allclose(column_lengths(full), np.sqrt(n - 1), atol=1e-9)
+    assert np.allclose(np.linalg.norm(full.col_markers, axis=1), np.sqrt(n - 1), atol=1e-9)
     mj = jk(x, 2)
-    assert np.all(column_lengths(mj) <= 1.0 + 1e-12)
+    assert np.all(np.linalg.norm(mj.col_markers, axis=1) <= 1.0 + 1e-12)
 
 
 def test_gh_lengths_recover_sds_on_centered_data():
@@ -208,7 +207,8 @@ def test_gh_lengths_recover_sds_on_centered_data():
     x, _ = preprocess(t, "center")
     m = gh(x, svd(x).rank)
     sds = t.values.std(axis=0, ddof=1)
-    assert np.allclose(column_lengths(m) / np.sqrt(x.shape[0] - 1), sds, atol=1e-9)
+    lengths = np.linalg.norm(m.col_markers, axis=1)
+    assert np.allclose(lengths / np.sqrt(x.shape[0] - 1), sds, atol=1e-9)
 
 
 def test_row_distances_duplicate_row():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from biplot.data import DataTable, load_case, preprocess
 from biplot.engine import column_cosines, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
-from biplot.report import AnalysisReport, PlotSpec, analyze, dumps, method_name, render_svg
+from biplot.report import AnalysisReport, analyze, dumps, method_name, render_svg
 
 
 def fitted_case(cid=1):
@@ -121,8 +121,8 @@ def test_svg_requires_two_dims():
 
 def test_vector_scale_changes_svg_not_report():
     t, m, q, rep1 = full_report(2)
-    svg_a = render_svg(m, q, PlotSpec(vector_scale=1.0))
-    svg_b = render_svg(m, q, PlotSpec(vector_scale=2.0))
+    svg_a = render_svg(m, q, vector_scale=1.0)
+    svg_b = render_svg(m, q, vector_scale=2.0)
     _, _, rep2 = analyze(t)
     assert svg_a != svg_b
     assert rep1 == rep2
@@ -131,7 +131,7 @@ def test_vector_scale_changes_svg_not_report():
 def test_vector_scale_must_be_positive():
     _, m, q = fitted_case(1)
     with pytest.raises(InputError):
-        render_svg(m, q, PlotSpec(vector_scale=0.0))
+        render_svg(m, q, vector_scale=0.0)
 
 
 # The JSON writer: strict JSON that reads back to the document, with
