@@ -118,9 +118,7 @@ def _fmt(v: float) -> str:
 def _escape(text: str) -> str:
     """``text`` as SVG character data: markup escaped and each character
     XML 1.0 forbids replaced by U+FFFD."""
-    if not text.isprintable():  # a cheap test that almost every label passes
-        text = text.translate(_NOT_XML)
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_NOT_XML).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _frame(shares, legend: str, *body, defs: str = ""):
@@ -207,11 +205,16 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
                        col_labels: tuple[str, ...] = ()) -> str:
     """Deterministic scatter panel for the baseline methods: the biplot's
     row dots without its arrows. Column coordinates, if given, are drawn
-    as labelled squares on the same scale."""
-    pts = np.asarray(coords, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InputError(f"scatter rendering needs n x 2 coordinates, got {pts.shape}")
-    sets = [pts] if col_coords is None else [pts, np.asarray(col_coords, dtype=float)]
+    as squares on the same scale, each labelled from ``col_labels``."""
+    sets = [np.asarray(coords, dtype=float)]
+    if col_coords is not None:
+        sets.append(np.asarray(col_coords, dtype=float))
+    for pts, names in zip(sets, (labels, col_labels)):
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise InputError(f"scatter rendering needs n x 2 coordinates, got {pts.shape}")
+        if len(names) != len(pts):
+            raise InputError(f"scatter rendering needs one label per point, "
+                             f"got {len(names)} labels for {len(pts)} points")
     rows, *cols = _place(*sets)
 
     def squares(points):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from biplot.data import DataTable, load_case, preprocess
 from biplot.engine import column_cosines, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
-from biplot.report import AnalysisReport, analyze, dumps, method_name, render_svg
+from biplot.report import (AnalysisReport, analyze, dumps, method_name, render_scatter_svg,
+                           render_svg)
 
 
 def fitted_case(cid=1):
@@ -132,6 +133,17 @@ def test_vector_scale_must_be_positive():
     _, m, q = fitted_case(1)
     with pytest.raises(InputError):
         render_svg(m, q, vector_scale=0.0)
+
+
+def test_scatter_needs_one_label_per_point():
+    rows, cols = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.5, 0.5]])
+    svg = render_scatter_svg(rows, ("a", "b"), "t", col_coords=cols, col_labels=("c",))
+    assert svg.count('class="col-dot"') == svg.count('class="col-label"') == 1
+    for bad in [dict(col_coords=cols), dict(col_coords=cols, col_labels=("c", "d"))]:
+        with pytest.raises(InputError, match="one label per point"):
+            render_scatter_svg(rows, ("a", "b"), "t", **bad)
+    with pytest.raises(InputError, match="one label per point"):
+        render_scatter_svg(rows, ("a",), "t")
 
 
 # The JSON writer: strict JSON that reads back to the document, with
