@@ -117,8 +117,7 @@ def _ca_panel(table: DataTable, fit):
            "row_labels": list(table.row_labels),
            "col_labels": list(table.col_labels),
            "share_2d": share,
-           "warnings": ["table mixes measurement units; chi-square "
-                        "profiles may not be meaningful"]}
+           "warnings": _ca_warnings(table.col_labels, ca.col_masses)}
     shares = ca.inertias / ca.total_inertia * 100.0
     svg = report.render_scatter_svg(ca.row_coords, table.row_labels,
                                     f"CA (symmetric) | 2-D share {share * 100:.1f}%",
@@ -126,6 +125,17 @@ def _ca_panel(table: DataTable, fit):
                                     col_coords=ca.col_coords,
                                     col_labels=table.col_labels)
     return report.dumps(doc), svg, share
+
+
+def _ca_warnings(col_labels, masses) -> list[str]:
+    """A warning when the largest column mass passes 10 times the smallest,
+    the sign of a table that mixes measurement units."""
+    hi, lo = int(np.argmax(masses)), int(np.argmin(masses))
+    if masses[hi] <= 10.0 * masses[lo]:
+        return []
+    return [f"column {col_labels[hi]!r} has {masses[hi] / masses[lo]:.3g} times the mass of "
+            f"column {col_labels[lo]!r}: the table may mix measurement units, so chi-square "
+            "profiles may not be meaningful"]
 
 
 _PANELS = {"jk": _jk_panel, "pca": _pca_panel, "mds": _mds_panel, "ca": _ca_panel}

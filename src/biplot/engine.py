@@ -50,12 +50,19 @@ class BiplotModel:
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Per-row / per-column quality of representation and overall fit."""
+    """Per-row / per-column quality of representation and overall fit.
+
+    ``noise_rows`` and ``noise_cols`` label the rows and columns whose
+    squared norm is within rounding of zero (at most 1e-9 of the whole
+    matrix's), so that their quality is rounding noise.
+    """
 
     qr_rows: np.ndarray
     qr_cols: np.ndarray
     qr_overall: float
     residual_frobenius: float
+    noise_rows: tuple[str, ...]
+    noise_cols: tuple[str, ...]
 
     def __post_init__(self):
         self.qr_rows.flags.writeable = False
@@ -120,6 +127,8 @@ def quality(model: BiplotModel, x) -> QualityReport:
     variance-explained ratio of the retained singular values and
     ``residual_frobenius`` the norm of the discarded ones. ``x`` must be
     the fitted matrix: a ratio above 1 beyond rounding raises NumericalError.
+    Rows and columns whose squared norm is within that rounding keep their
+    ratio and are labelled in ``noise_rows`` and ``noise_cols``.
     """
     m = linalg.as_matrix(x)
     if m.shape != model.shape:
@@ -134,12 +143,14 @@ def quality(model: BiplotModel, x) -> QualityReport:
     # Rounding lets a captured norm pass its norm by a fraction of the whole
     # matrix's (a row of norm 1e-17 may read 100); only that much is clipped.
     tol = 1e-9 * float(np.sum(row_sq))
+    noise = []
     for kind, cap, sq, labels in (("row", row_cap, row_sq, model.row_labels),
                                   ("column", col_cap, col_sq, model.col_labels)):
         over = np.flatnonzero(cap - sq > tol)
         if over.size:
             raise NumericalError(f"{kind} {labels[over[0]]!r} has quality above 1: "
                                  "x is not the matrix the model was fitted to")
+        noise.append(tuple(labels[i] for i in np.flatnonzero(sq <= tol)))
     with np.errstate(invalid="ignore", divide="ignore"):
         qr_rows = np.minimum(np.where(row_sq > 0, row_cap / row_sq, 1.0), 1.0)
         qr_cols = np.minimum(np.where(col_sq > 0, col_cap / col_sq, 1.0), 1.0)
@@ -148,7 +159,8 @@ def quality(model: BiplotModel, x) -> QualityReport:
     # Eckart-Young: ||X - A B'||_F is the norm of the discarded singular values
     residual = float(np.sqrt(np.sum(model.sigma_all[model.dims:] ** 2)))
     return QualityReport(qr_rows=qr_rows, qr_cols=qr_cols,
-                         qr_overall=qr_overall, residual_frobenius=residual)
+                         qr_overall=qr_overall, residual_frobenius=residual,
+                         noise_rows=noise[0], noise_cols=noise[1])
 
 
 def reconstruct(model: BiplotModel) -> np.ndarray:

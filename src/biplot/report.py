@@ -93,9 +93,22 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
         },
         correlations=correlations.tolist(),
         cosines=cosines.tolist(),
-        warnings=(["cosines undefined for zero-length column markers"]
-                  if np.isnan(cosines).any() else []),
+        warnings=_warnings(qual, cosines),
     )
+
+
+def _warnings(qual: QualityReport, cosines: np.ndarray) -> list[str]:
+    """What the report's numbers do not say by themselves."""
+    out = []
+    if np.isnan(cosines).any():
+        out.append("cosines undefined for zero-length column markers")
+    noise = [("row", label) for label in qual.noise_rows]
+    noise += [("column", label) for label in qual.noise_cols]
+    if noise:
+        kind, label = noise[0]
+        out.append(f"quality is rounding noise for {len(noise)} of the rows and columns, whose "
+                   f"squared norm is at most 1e-9 of the matrix's; the first is {kind} {label!r}")
+    return out
 
 
 _WIDTH, _HEIGHT = 800, 600

@@ -115,6 +115,20 @@ def test_compare_all_methods(tmp_path, case1_csv, capsys):
         assert 0 < m["share_2d"] <= 1
 
 
+@pytest.mark.parametrize("cid, warned", [(1, True), (2, False), (3, False)])
+def test_ca_panel_warns_only_on_mixed_units(tmp_path, cid, warned):
+    path = tmp_path / f"case{cid}.csv"
+    path.write_text(case_csv(cid), encoding="utf-8")
+    assert main(["compare", str(path), "--methods", "ca", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / f"case{cid}_ca.json").read_text(encoding="utf-8"))
+    if warned:  # RES sums to ~9.4e4 times NCIT
+        assert doc["warnings"] == ["column 'RES' has 9.43e+04 times the mass of column "
+                                   "'NCIT': the table may mix measurement units, so "
+                                   "chi-square profiles may not be meaningful"]
+    else:
+        assert doc["warnings"] == []
+
+
 def test_compare_jk_only_matches_analyze(tmp_path, case1_csv):
     out = tmp_path / "only"
     assert main(["compare", str(case1_csv), "--methods", "jk",

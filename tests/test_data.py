@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import biplot.data
 from biplot.data import (DataTable, _parse_reference, apply_record, case_csv, load_case,
                          parse_table, preprocess, serialize_table)
 from biplot.errors import InputError
@@ -66,6 +67,20 @@ def test_overlong_csv_field_raises_input_error_naming_the_row():
     # 1_000 sends the table to the per-cell parser, which meets the long label
     with pytest.raises(InputError, match=r"row 3: field larger than field limit"):
         parse_table(f",a,b\nr1,1,2\n{big},1_000,2\nr3,5,6\n", "t")
+
+
+@pytest.mark.parametrize("parse", [parse_table, _parse_reference])
+@pytest.mark.parametrize("sep", ["\x1c", "\x1f"])
+def test_labels_keep_information_separators(parse, sep):
+    t = parse(f",a\x01, b{sep}\n r1{sep},1,2\n\"r2{sep} \",3,4\nr3\xa0,5,6\n", "t")
+    assert t.col_labels == ("a\x01", f"b{sep}")
+    assert t.row_labels == (f"r1{sep}", f"r2{sep}", "r3")
+
+
+def test_label_whitespace_is_unicode_white_space():
+    separators = "\x1c\x1d\x1e\x1f"
+    ws = "".join(c for c in map(chr, range(0x110000)) if c.isspace() and c not in separators)
+    assert biplot.data._WHITESPACE == ws
 
 
 _LABEL = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
@@ -188,19 +203,21 @@ def test_datatable_rejects_nonfinite():
                   np.array([[1.0, 2.0], [np.nan, 4.0], [5.0, 6.0]]))
 
 
-# Differential test: parse_table (numpy's C reader with a fallback) against
-# the per-cell csv + float() reference parser on generated CSV text.
+# Differential test: parse_table (orjson's reader in chunks, with a
+# fallback) against the per-cell csv + float() reference parser on
+# generated CSV text.
 
 _NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                      st.integers(-10**6, 10**6).map(str))
 # Cells on which the two readers may disagree.
 _ODD_NUMBERS = st.sampled_from([
     # float() reads these as finite numbers,
-    "1_000", " 2.5 ", "\t3", "5.", "+.5", "-0", "1e-400", "١٢", "１", "\xa04",
-    '"7"', '"8"9', '" 6 "', '"1\n"',
+    "1_000", " 2.5 ", "\t3", "5.", "+.5", "-0", "-0.0", "1e-400", "-1e-400", "١٢", "１",
+    "\xa04", '"7"', '"8"9', '" 6 "', '"1\n"', "2.2250738585072011e-308", "4.9e-324",
+    "9007199254740993", "1.234567890123456789012345e-5", "1E5", "1e05",
     # and rejects these or reads them as non-finite.
     "", " ", "x", "1.2.3", "\x1c1", "1\x1f", '"1,5"', "0x10", "nan", "-nan", "inf",
-    "-Infinity", "1e400", '"1"2"'])
+    "-Infinity", "1e400", '"1"2"', "true", "null", "[1]", "{}"])
 _DECOR = st.text(alphabet=' #",\n\r\tab', max_size=3)
 
 
@@ -252,6 +269,12 @@ def _outcome(parse, source):
 @example(",a,b\nr1,\x1c1,2\nr2,3,4\nr3,5,6\n", "file")
 @example(",a,b\r\nr1,1_000,2\r\n \r\nr2,١٢,4\r\nr3,5,6\r\n", "bytes")
 @example(',a,b\n"#r1\n",1,2\n"r,""2",3,4\nr3,5,6,\n', "str")
+# An integer -0 (orjson reads 0) late in a table, JSON values that are not
+# numbers, and brackets that give as many JSON rows as lines, one a number.
+@example(",a,b\nr1,1,2\nr2,0,4\nr3,5,-0\n", "file")
+@example(",a,b\nr1,[1],2\nr2,true,4\nr3,5,6\n", "str")
+@example(',a,b\nr1,{},2\nr2,null,"4"\nr3,5,6\n', "str")
+@example(",a,b\nr1,1],5,[2\nr2,3,[4\nr3,5]\nr4,6,[7\nr5,8]\n", "str")
 # Row labels over csv's field size limit, on one line and across a quoted
 # line break, numbers over it, on one line and across a quoted line break,
 # and a line over it whose fields are short.
@@ -278,3 +301,69 @@ def test_non_seekable_stream_takes_the_fallback():
     with open(read_fd, encoding="utf-8", newline="") as fh:
         assert not fh.seekable()
         assert _outcome(parse_table, fh) == _outcome(_parse_reference, text)
+
+
+def test_stream_without_universal_newlines_takes_the_fallback():
+    # csv ends the row at the bare \r; the line as read holds it.
+    text = ",a,b\nr1,1\r,2\nr2,3,4\nr3,5,6\n"
+
+    def stream():
+        return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8",
+                                newline="\n")
+
+    assert _outcome(parse_table, stream()) == _outcome(_parse_reference, stream())
+    assert "new-line character" in _outcome(parse_table, stream())[1]
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """The reference parser, with ``parse_table``'s fallback to it made to
+    fail, so a test sees the fast path's own result."""
+    reference = _parse_reference
+
+    def refuse(source, name):
+        raise AssertionError("parse_table fell back to the reference parser")
+
+    monkeypatch.setattr(biplot.data, "_parse_reference", refuse)
+    return reference
+
+
+def test_random_float_bit_patterns_parse_exactly(no_fallback):
+    bits = np.random.default_rng(9).integers(0, 2**64, size=101_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:100_000].reshape(-1, 10)
+    for fmt in (repr, "{:.25e}".format):
+        text = "".join(f"r{i}," + ",".join(map(fmt, row)) + "\n"
+                       for i, row in enumerate(values.tolist()))
+        t = parse_table(",a,b,c,d,e,f,g,h,i,j\n" + text, "bits")
+        cells = [c for line in text.splitlines() for c in line.split(",")[1:]]
+        expect = np.array([float(c) for c in cells]).reshape(values.shape)
+        assert t.values.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_ordinary_tables_take_the_fast_path(no_fallback, monkeypatch, newline):
+    monkeypatch.setattr(biplot.data, "CHUNK_CHARS", 40)  # many chunks
+    lines = [',a,"b, c",d', 'r1,1,-2.5,3e-7', '"r ""2""",-0.0,1E5,-7',
+             "", "r3 ,0,12345678901234567890,-1.5e+300", '"r,4",2.5e-320,-0.5,1e05',
+             " r5,  1 ,\t2\t, 3 "]
+    text = newline.join(lines) + newline
+    ref = no_fallback(text, "t")
+    assert ref.row_labels == ("r1", 'r "2"', "r3", "r,4", "r5")
+    assert ref.col_labels == ("a", "b, c", "d")
+    for source in (text, text.encode("utf-8"),
+                   io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8",
+                                    newline="")):
+        t = parse_table(source, "t")
+        assert (t.row_labels, t.col_labels) == (ref.row_labels, ref.col_labels)
+        assert t.values.tobytes() == ref.values.tobytes()
+
+
+def test_bad_cell_in_the_last_chunk_names_row_and_column():
+    rows = [f"r{i},{i}.25,-{i}e-3\n" for i in range(100_000)]
+    rows[-2] = "r99998,1.5,2..5\n"
+    text = ",a,b\n" + "".join(rows)
+    assert len(text) > 2 * biplot.data.CHUNK_CHARS
+    with pytest.raises(InputError, match=r"non-numeric value '2\.\.5' at row 'r99998', "
+                                         r"column 'b'"):
+        parse_table(text, "t")

@@ -144,6 +144,16 @@ def test_quality_clips_rounding_on_a_column_of_tiny_norm():
     assert np.all(quality(jk(x, 2), x).qr_cols <= 1.0)
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_quality_labels_rows_and_columns_of_rounding_size(seed):
+    # The last column's quality reads 1.0 (seed 0) or 0.72 (seed 2): noise.
+    x = np.random.default_rng(seed).normal(size=(6, 4)) * [1, 1, 1, 1e-16]
+    q = quality(jk(x, 2), x)
+    assert (q.noise_rows, q.noise_cols) == ((), ("c3",))
+    assert 0.0 <= q.qr_cols[3] <= 1.0
+    assert quality(jk(x[:, :3], 2), x[:, :3]).noise_cols == ()
+
+
 def test_jk_row_metric_preservation():
     rng = np.random.default_rng(19)
     x = rng.normal(size=(7, 4))

@@ -78,6 +78,19 @@ def test_analyze_warns_on_zero_length_column_markers():
     assert rep.warnings == ["cosines undefined for zero-length column markers"]
 
 
+def test_analyze_warns_on_quality_of_rounding_size():
+    x = np.random.default_rng(2).normal(size=(6, 4)) * [1, 1, 1, 1e-16]
+    t = DataTable("tiny", tuple("abcdef"), ("w", "x", "y", "z"), x)
+    _, q, rep = analyze(t, scale="none")
+    assert rep.warnings == ["quality is rounding noise for 1 of the rows and columns, whose "
+                            "squared norm is at most 1e-9 of the matrix's; the first is "
+                            "column 'z'"]
+    assert rep.quality["qr_cols"] == q.qr_cols.tolist()
+    assert q.noise_cols == ("z",)
+    for cid in (1, 2, 3):
+        assert analyze(load_case(cid))[2].warnings == []
+
+
 @pytest.mark.parametrize("gamma, name", [(1.0, "jk"), (0.0, "gh"), (0.5, "sqrt"),
                                          (0.3, "biplot")])
 def test_method_name(gamma, name):
