@@ -3,7 +3,6 @@ the three embedded case-study datasets."""
 
 from __future__ import annotations
 
-import array
 import csv
 import io
 import itertools
@@ -146,13 +145,16 @@ def _read_header(records, name: str) -> list[str]:
 
 
 # Characters of lines read per chunk of the body. The chunk's line, number
-# and list objects are freed but stay resident, so larger chunks raise the
-# peak RSS of the whole run; from 16K to 1M characters the parse time is flat.
+# and list objects are freed but stay resident, as do the pages orjson's
+# reader touched, so larger chunks raise the peak RSS of the whole run; on
+# a 50000x20 table 8K and 16K chunks measured higher too. From 16K to 1M
+# characters the parse time is flat.
 CHUNK_CHARS = 1 << 15
 # A quoted label and its delimiter: csv's quoting with "" for a quote.
 _QUOTED_LABEL = re.compile(r'"([^"]*(?:""[^"]*)*)",')
-# An integer -0, which orjson reads as 0 and float() as -0.0.
-_INT_NEG_ZERO = re.compile(r"(?<![eE])-0(?![.eE])")
+# An integer -0, which orjson reads as 0 and float() as -0.0. It also
+# finds the exponent of 1e-0, which then takes the reference parser.
+_INT_NEG_ZERO = re.compile(r"-0(?![.eE\d])")
 
 
 def _parse_fast(fh, name: str) -> DataTable:
@@ -169,7 +171,7 @@ def _parse_fast(fh, name: str) -> DataTable:
     p = len(col_labels)
     limit = csv.field_size_limit()
     labels: list[str] = []
-    values = array.array("d")
+    values = bytearray()
     while lines := fh.readlines(CHUNK_CHARS):
         if max(map(len, lines)) > limit:
             raise ValueError("line longer than csv's field size limit")
@@ -191,20 +193,18 @@ def _parse_fast(fh, name: str) -> DataTable:
             continue
         text = "[[" + "],[".join(rests) + "]]"
         # Numbers only: no string, true, false, null or object here, and
-        # fromlist refuses a row that is not an array or a nested array.
+        # fromiter refuses a row that is not an array or a nested array.
         if '"' in text or "t" in text or "f" in text or "n" in text or "{" in text:
             raise ValueError("a cell that is not a JSON number")
+        if _INT_NEG_ZERO.search(text):
+            raise ValueError("integer -0, which orjson reads as 0")
         rows = orjson.loads(text)
-        start = len(values)
         try:
-            values.fromlist(list(itertools.chain.from_iterable(rows)))
+            values += np.fromiter(itertools.chain.from_iterable(rows), float).data
         except TypeError:
             raise ValueError("a cell that is not a number") from None
         if len(rows) != len(rests) or set(map(len, rows)) != {p}:
             raise ValueError("row count or field count needs the reference parser")
-        if (not np.frombuffer(values, offset=values.itemsize * start).all()
-                and _INT_NEG_ZERO.search(text)):
-            raise ValueError("integer -0, which orjson reads as 0")
     n = len(labels)
     if n < MIN_ROWS:
         raise ValueError("too few rows for the fast path")

@@ -214,7 +214,8 @@ _ODD_NUMBERS = st.sampled_from([
     # float() reads these as finite numbers,
     "1_000", " 2.5 ", "\t3", "5.", "+.5", "-0", "-0.0", "1e-400", "-1e-400", "١٢", "１",
     "\xa04", '"7"', '"8"9', '" 6 "', '"1\n"', "2.2250738585072011e-308", "4.9e-324",
-    "9007199254740993", "1.234567890123456789012345e-5", "1E5", "1e05",
+    "9007199254740993", "1.234567890123456789012345e-5", "1E5", "1e05", "1e-0", "-0e0",
+    "-00",
     # and rejects these or reads them as non-finite.
     "", " ", "x", "1.2.3", "\x1c1", "1\x1f", '"1,5"', "0x10", "nan", "-nan", "inf",
     "-Infinity", "1e400", '"1"2"', "true", "null", "[1]", "{}"])
@@ -346,10 +347,10 @@ def test_ordinary_tables_take_the_fast_path(no_fallback, monkeypatch, newline):
     monkeypatch.setattr(biplot.data, "CHUNK_CHARS", 40)  # many chunks
     lines = [',a,"b, c",d', 'r1,1,-2.5,3e-7', '"r ""2""",-0.0,1E5,-7',
              "", "r3 ,0,12345678901234567890,-1.5e+300", '"r,4",2.5e-320,-0.5,1e05',
-             " r5,  1 ,\t2\t, 3 "]
+             " r5,  1 ,\t2\t, 3 ", "r6,0,-0.25,-0E5", "r7,1e-05,-0e0,-10"]
     text = newline.join(lines) + newline
     ref = no_fallback(text, "t")
-    assert ref.row_labels == ("r1", 'r "2"', "r3", "r,4", "r5")
+    assert ref.row_labels == ("r1", 'r "2"', "r3", "r,4", "r5", "r6", "r7")
     assert ref.col_labels == ("a", "b, c", "d")
     for source in (text, text.encode("utf-8"),
                    io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8",
