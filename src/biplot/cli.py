@@ -153,6 +153,8 @@ def _cmd_compare(args) -> int:
     for m in methods:
         if m not in _PANELS:
             raise InputError(f"unknown method {m!r}; choose from {', '.join(_PANELS)}")
+        if methods.count(m) > 1:
+            raise InputError(f"method {m!r} is named more than once in --methods")
     fit = functools.cache(lambda: report.analyze(table))
     # Every panel is built before any file is written.
     panels = [(m, *_PANELS[m](table, fit)) for m in methods]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,12 @@ _ARROW_HEAD = ('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6
                '</marker></defs>\n')
 # The characters XML 1.0 forbids in a document.
 _NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+# Any character that ``_escape`` changes.
+_MARKUP = re.compile("[%s]" % re.escape("".join(map(chr, _NOT_XML)) + "&<>"))
+# Rows formatted per block; ``%.3f`` writes the same text as ``_fmt``.
+_BLOCK = 4096
+_ROW = ('<circle class="dot" cx="%.3f" cy="%.3f" r="3" fill="#003366"/>\n'
+        '<text class="row-label" x="%.3f" y="%.3f" font-size="11" fill="#003366">%s</text>\n')
 
 
 def _fmt(v: float) -> str:
@@ -135,8 +142,8 @@ def _escape(text: str) -> str:
 
 
 def _frame(shares, legend: str, *body, defs: str = ""):
-    """Lines of one SVG panel: header, background, both axes, the axis
-    labels when ``shares`` (percent per axis) is given, the ``body`` lines,
+    """Text of one SVG panel: header, background, both axes, the axis
+    labels when ``shares`` (percent per axis) is given, the ``body`` text,
     the legend, ``defs`` and the closing tag."""
     w, h, m, cx, cy = _WIDTH, _HEIGHT, _MARGIN, _CX, _CY
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
@@ -161,39 +168,45 @@ def _frame(shares, legend: str, *body, defs: str = ""):
 
 
 def _place(*coords: np.ndarray):
-    """Pixel positions of n x 2 coordinate sets drawn on one scale, which
-    puts the largest |coordinate| of any set ``_HALF`` from the centre."""
+    """Pixel positions ``(x, y)``, two arrays, of n x 2 coordinate sets drawn
+    on one scale, which puts the largest |coordinate| of any set ``_HALF``
+    from the centre."""
     unit = _HALF / (max(float(np.max(np.abs(c))) for c in coords) or 1.0)
-    return [zip((_CX + c[:, 0] * unit).tolist(), (_CY - c[:, 1] * unit).tolist())
-            for c in coords]
+    return [(_CX + c[:, 0] * unit, _CY - c[:, 1] * unit) for c in coords]
 
 
-def _row_dots(points, labels):
-    """A labelled dot at each row's position, in every panel."""
-    for (x, y), label in zip(points, labels, strict=True):
-        yield f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n'
-        yield (f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
-               f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
+def _row_dots(x: np.ndarray, y: np.ndarray, labels):
+    """A labelled dot at each row's pixel position, in every panel, as one
+    string per block of ``_BLOCK`` rows. Labels are escaped only when one
+    of them holds a character that ``_escape`` changes."""
+    if _MARKUP.search("".join(labels)):
+        labels = [_escape(label) for label in labels]
+    for i in range(0, len(x), _BLOCK):
+        bx, by = x[i:i + _BLOCK], y[i:i + _BLOCK]
+        yield "".join(map(_ROW.__mod__, zip(bx.tolist(), by.tolist(), (bx + 5).tolist(),
+                                            (by + 3).tolist(), labels[i:i + _BLOCK],
+                                            strict=True)))
 
 
 def svg_lines(model: BiplotModel, quality: QualityReport, *, vector_scale: float | None = None):
-    """Lines of the deterministic 2-D biplot: dots for rows, arrows from
-    the origin for columns, axes annotated with variance shares.
+    """Text of the deterministic 2-D biplot, line by line and the row dots
+    in blocks: dots for rows, arrows from the origin for columns, axes
+    annotated with variance shares.
     ``vector_scale=None`` scales the longest column marker to 40% of the
     largest row coordinate. The model and the scale are checked when this
     is called, before any line is generated."""
     if model.dims != 2:
         raise InputError(f"SVG rendering requires a 2-D model, got dims={model.dims}")
-    if vector_scale is not None and not vector_scale > 0:
-        raise InputError(f"vector_scale must be positive, got {vector_scale}")
+    if vector_scale is not None and not 0 < vector_scale < float("inf"):
+        raise InputError(f"vector_scale must be finite and positive, got {vector_scale}")
     A, B = model.row_markers, model.col_markers
     if vector_scale is None:
         row_extent = float(np.max(np.abs(A))) or 1.0
         vector_scale = 0.4 * row_extent / (float(np.max(np.linalg.norm(B, axis=1))) or 1.0)
-    rows, cols = _place(A, B * vector_scale)
+    rows, (cx, cy) = _place(A, B * vector_scale)
 
     def arrows():
-        for (x, y), label in zip(cols, model.col_labels, strict=True):
+        for x, y, label in zip(cx.tolist(), cy.tolist(), model.col_labels, strict=True):
             yield (f'<line class="arrow" x1="{_fmt(_CX)}" y1="{_fmt(_CY)}" '
                    f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#cc0000" '
                    f'stroke-width="1.5" marker-end="url(#head)"/>\n')
@@ -203,7 +216,7 @@ def svg_lines(model: BiplotModel, quality: QualityReport, *, vector_scale: float
     legend = (f'{method_name(model.gamma).upper()} biplot | '
               f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{vector_scale:.4g}')
     return _frame(model.axis_variance_shares() * 100.0, legend,
-                  arrows(), _row_dots(rows, model.row_labels), defs=_ARROW_HEAD)
+                  arrows(), _row_dots(*rows, model.row_labels), defs=_ARROW_HEAD)
 
 
 def render_svg(model: BiplotModel, quality: QualityReport, *,
@@ -230,11 +243,12 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
                              f"got {len(names)} labels for {len(pts)} points")
     rows, *cols = _place(*sets)
 
-    def squares(points):
-        for (x, y), label in zip(points, col_labels, strict=True):
+    def squares(cx, cy):
+        for x, y, label in zip(cx.tolist(), cy.tolist(), col_labels, strict=True):
             yield (f'<rect class="col-dot" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
                    f'width="6" height="6" fill="#cc0000"/>\n')
             yield (f'<text class="col-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
                    f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
 
-    return "".join(_frame(shares, title, _row_dots(rows, labels), *map(squares, cols)))
+    return "".join(_frame(shares, title, _row_dots(*rows, labels),
+                          *(squares(*c) for c in cols)))

@@ -145,6 +145,13 @@ def test_compare_unknown_method_exits_2(case1_csv, capsys):
     assert "tsne" in capsys.readouterr().err
 
 
+def test_compare_repeated_method_exits_2(case1_csv, tmp_path, capsys):
+    out = tmp_path / "panels"
+    assert main(["compare", str(case1_csv), "--methods", "jk,pca, jk", "--out", str(out)]) == 2
+    assert "'jk'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_ca_on_negative_table_exits_2(tmp_path, capsys):
     bad = tmp_path / "neg.csv"
     bad.write_text(",a,b\nr1,1,2\nr2,3,-1\nr3,5,6\n", encoding="utf-8")

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biplot.data import DataTable, load_case, preprocess
-from biplot.engine import column_cosines, jk, pearson, quality, sqrt_biplot
+from biplot.engine import column_cosines, fit_biplot, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
-from biplot.report import (AnalysisReport, analyze, dumps, method_name, render_scatter_svg,
-                           render_svg)
+from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, _fmt, analyze,
+                           dumps, method_name, render_scatter_svg, render_svg, svg_lines)
 
 
 def fitted_case(cid=1):
@@ -99,7 +99,6 @@ def test_method_name(gamma, name):
 
 def test_svg_element_counts():
     rng = np.random.default_rng(1)
-    from biplot.engine import fit_biplot
     x = rng.normal(size=(4, 3))
     m = fit_biplot(x, 1.0, 2)
     q = quality(m, x)
@@ -144,8 +143,11 @@ def test_vector_scale_changes_svg_not_report():
 
 def test_vector_scale_must_be_positive():
     _, m, q = fitted_case(1)
-    with pytest.raises(InputError):
-        render_svg(m, q, vector_scale=0.0)
+    for scale in (0.0, float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="finite and positive"):
+            render_svg(m, q, vector_scale=scale)
+        with pytest.raises(InputError, match="finite and positive"):
+            svg_lines(m, q, vector_scale=scale)
 
 
 def test_scatter_needs_one_label_per_point():
@@ -157,6 +159,65 @@ def test_scatter_needs_one_label_per_point():
             render_scatter_svg(rows, ("a", "b"), "t", **bad)
     with pytest.raises(InputError, match="one label per point"):
         render_scatter_svg(rows, ("a",), "t")
+
+
+# The row layer, written in blocks, against the per-row writer it
+# replaced: one f-string per element and ``_escape`` on every label.
+
+def _reference_rows(coords, labels, *more_coords):
+    """The row dots of ``coords`` as the per-row writer drew them, on the
+    scale shared with ``more_coords``."""
+    unit = _HALF / (max(float(np.max(np.abs(c))) for c in (coords, *more_coords)) or 1.0)
+    points = zip((_CX + coords[:, 0] * unit).tolist(), (_CY - coords[:, 1] * unit).tolist())
+    out = []
+    for (x, y), label in zip(points, labels, strict=True):
+        out.append(f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n')
+        out.append(f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
+                   f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
+    return "".join(out)
+
+
+def _assert_row_layer(svg, reference):
+    """The rows of ``svg`` are exactly ``reference``: the document holds no
+    other dot, and ``reference`` runs from its first dot to the column
+    squares or, without them, to the legend."""
+    start = svg.index('<circle class="dot"')
+    end = min(i for i in (svg.find('<rect class="col-dot"'), svg.find('<text class="legend"'))
+              if i >= 0)
+    assert svg[start:end] == reference
+    assert svg.count("<circle") == reference.count("<circle")
+
+
+@pytest.mark.parametrize("odd", [None, "&", "<", "\x01", "\ufffe"])
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_row_blocks_match_per_row_writer(n, odd):
+    labels = [f"r{i}" for i in range(n)]
+    if odd is not None:
+        labels[-1] = f"x{odd}y"  # the one label that needs escaping, in the last block
+    x = np.random.default_rng(n).normal(size=(n, 3))
+    m = fit_biplot(x, 1.0, 2, row_labels=tuple(labels), col_labels=("a", "b", "c"))
+    svg = render_svg(m, quality(m, x), vector_scale=1.5)
+    _assert_row_layer(svg, _reference_rows(m.row_markers, labels, m.col_markers * 1.5))
+    cols = x[:3, 1:] * 4.0
+    svg = render_scatter_svg(x[:, :2], tuple(labels), "t", col_coords=cols,
+                             col_labels=("a", "b", "c"))
+    _assert_row_layer(svg, _reference_rows(x[:, :2], labels, cols))
+
+
+_COORD = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD, st.text()), min_size=1, max_size=12))
+def test_row_layer_matches_per_row_writer(rows):
+    coords = np.array([r[:2] for r in rows], dtype=float)
+    labels = tuple(r[2] for r in rows)
+    # A subnormal largest coordinate makes the scale infinite; both writers
+    # then draw the same nan and inf positions.
+    with np.errstate(all="ignore"):
+        svg = render_scatter_svg(coords, labels, "t")
+        reference = _reference_rows(coords, labels)
+    _assert_row_layer(svg, reference)
 
 
 # The JSON writer: strict JSON that reads back to the document, with
