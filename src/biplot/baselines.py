@@ -112,16 +112,17 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
     c = P.sum(axis=0)
     if np.any(r == 0) or np.any(c == 0):
         raise InputError("correspondence analysis needs no all-zero row or column")
-    S = (P - np.outer(r, c)) / np.sqrt(np.outer(r, c))
-    res = linalg.svd(S)
     max_axes = min(len(r), len(c)) - 1
     if not 1 <= dims <= max_axes:
         raise InputError(f"dims must lie in [1, {max_axes}] for a "
                          f"{len(r)}x{len(c)} table, got {dims}")
-    s = res.sigma[:dims]
-    row_coords = (res.U[:, :dims] * s) / np.sqrt(r)[:, None]
-    col_coords = (res.V[:, :dims] * s) / np.sqrt(c)[:, None]
-    inertias = res.sigma ** 2
+    S = (P - np.outer(r, c)) / np.sqrt(np.outer(r, c))
+    with linalg.one_blas_thread():
+        sigma, V, _ = linalg.right_svd(S)
+        # U_s diag(sigma_s) = S V_s
+        row_coords = (S @ V[:, :dims]) / np.sqrt(r)[:, None]
+    col_coords = (V[:, :dims] * sigma[:dims]) / np.sqrt(c)[:, None]
+    inertias = sigma ** 2
     return CaModel(row_coords=row_coords, col_coords=col_coords,
                    inertias=inertias[:dims].copy(),
                    total_inertia=float(np.sum(inertias)),

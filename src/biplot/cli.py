@@ -81,38 +81,34 @@ def _jk_panel(table: DataTable, fit):
     return rep.to_json(), report.render_svg(model, qual), qual.qr_overall
 
 
-def _pca_panel(table: DataTable, fit):
-    model, _, _ = fit()
-    scores = model.row_markers
-    shares = model.axis_variance_shares()
-    share = float(np.sum(shares))
-    doc = {"method": "pca", "scores": scores.tolist(),
-           "row_labels": list(table.row_labels), "share_2d": share}
-    svg = report.render_scatter_svg(scores, table.row_labels,
-                                    f"PCA | 2-D share {share * 100:.1f}%",
-                                    (float(shares[0] * 100.0), float(shares[1] * 100.0)))
-    return report.dumps(doc), svg, share
-
-
-def _mds_panel(table: DataTable, fit):
+def _row_panel(method: str, table: DataTable, fit):
+    """The ``pca`` or ``mds`` panel: the JK row markers, as PCA scores
+    with their axis shares, or as MDS coordinates under the sign rule of
+    ``classical_mds`` with the eigenvalues and strain."""
     model, qual, _ = fit()
-    coords = model.row_markers * linalg.axis_signs(model.row_markers)
-    share = qual.qr_overall
-    doc = {"method": "mds", "coords": coords.tolist(),
-           "eigenvalues": (model.sigma_retained ** 2).tolist(),
-           "row_labels": list(table.row_labels),
-           "strain": 1.0 - share, "share_2d": share}
+    coords = model.row_markers
+    if method == "pca":
+        shares = model.axis_variance_shares()
+        share, title = float(np.sum(shares)), "PCA"
+        axes = (float(shares[0] * 100.0), float(shares[1] * 100.0))
+        extras = {"scores": coords}
+    else:
+        coords = coords * linalg.axis_signs(coords)
+        share, title, axes = qual.qr_overall, "Classical MDS", None
+        extras = {"coords": coords, "eigenvalues": model.sigma_retained ** 2,
+                  "strain": 1.0 - share}
+    doc = {"method": method, **extras, "row_labels": list(table.row_labels), "share_2d": share}
     svg = report.render_scatter_svg(coords, table.row_labels,
-                                    f"Classical MDS | 2-D share {share * 100:.1f}%")
+                                    f"{title} | 2-D share {share * 100:.1f}%", axes)
     return report.dumps(doc), svg, share
 
 
 def _ca_panel(table: DataTable, fit):
     ca = baselines.correspondence_analysis(table, 2)
     share = float(np.sum(ca.inertias) / ca.total_inertia)
-    doc = {"method": "ca", "row_coords": ca.row_coords.tolist(),
-           "col_coords": ca.col_coords.tolist(),
-           "inertias": ca.inertias.tolist(),
+    doc = {"method": "ca", "row_coords": ca.row_coords,
+           "col_coords": ca.col_coords,
+           "inertias": ca.inertias,
            "total_inertia": ca.total_inertia,
            "row_labels": list(table.row_labels),
            "col_labels": list(table.col_labels),
@@ -138,7 +134,8 @@ def _ca_warnings(col_labels, masses) -> list[str]:
             "profiles may not be meaningful"]
 
 
-_PANELS = {"jk": _jk_panel, "pca": _pca_panel, "mds": _mds_panel, "ca": _ca_panel}
+_PANELS = {"jk": _jk_panel, "pca": functools.partial(_row_panel, "pca"),
+           "mds": functools.partial(_row_panel, "mds"), "ca": _ca_panel}
 
 
 def _slug(name: str) -> str:

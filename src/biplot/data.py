@@ -277,13 +277,6 @@ def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, Preproce
     raise InputError(f"unknown preprocessing mode {mode!r}")
 
 
-def apply_record(values: np.ndarray, record: PreprocessRecord) -> np.ndarray:
-    """Reapply a stored preprocessing record to raw values."""
-    if record.mode == "none":
-        return np.asarray(values, dtype=float).copy()
-    return (values - np.array(record.means)) / np.array(record.sds)
-
-
 # Case-study fixtures. Values are kept verbatim as published.
 
 _CASE1_CSV = """\

@@ -18,7 +18,8 @@ class BiplotModel:
 
     ``row_markers = U_s diag(sigma_s)^gamma`` and
     ``col_markers = V_s diag(sigma_s)^(1-gamma)`` for the sign-normalized
-    SVD of the preprocessed matrix.
+    SVD of the preprocessed matrix X; the fit computes the row markers as
+    ``X V_s diag(sigma_s)^(gamma-1)``, since ``U_s diag(sigma_s) = X V_s``.
     """
 
     gamma: float
@@ -81,12 +82,13 @@ def fit_biplot(x, gamma: float, dims: int = 2,
     m = linalg.as_matrix(x)
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must lie in [0, 1], got {gamma}")
-    res = linalg.svd(m)
-    if not 1 <= dims <= res.rank:
-        raise InputError(f"dims must lie in [1, rank={res.rank}], got {dims}")
-    s = res.sigma[:dims]
-    A = res.U[:, :dims] * s ** gamma
-    B = res.V[:, :dims] * s ** (1.0 - gamma)
+    sigma, V, rank = linalg.right_svd(m)
+    if not 1 <= dims <= rank:
+        raise InputError(f"dims must lie in [1, rank={rank}], got {dims}")
+    # sigma > 0 on the retained axes, as dims <= rank
+    s = sigma[:dims]
+    A = (m @ V[:, :dims]) * s ** (gamma - 1.0)
+    B = np.multiply(V[:, :dims], s ** (1.0 - gamma), order="C")
     n, p = m.shape
     row_labels = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(n))
     col_labels = tuple(col_labels) if col_labels is not None else tuple(f"c{j}" for j in range(p))
@@ -95,8 +97,7 @@ def fit_biplot(x, gamma: float, dims: int = 2,
                          f"matrix shape {m.shape}")
     return BiplotModel(gamma=float(gamma), dims=int(dims),
                        row_markers=A, col_markers=B,
-                       sigma_retained=s.copy(), sigma_all=res.sigma.copy(),
-                       rank=res.rank,
+                       sigma_retained=s.copy(), sigma_all=sigma, rank=rank,
                        preprocess=preprocess_record or PreprocessRecord("none"),
                        row_labels=row_labels, col_labels=col_labels, name=name)
 
@@ -137,8 +138,8 @@ def quality(model: BiplotModel, x) -> QualityReport:
     # sigma_k * u_ik recovered from the markers regardless of gamma
     row_coord = model.row_markers * s ** (1.0 - model.gamma)
     col_coord = model.col_markers * s ** model.gamma
-    row_sq = np.sum(m ** 2, axis=1)
-    col_sq = np.sum(m ** 2, axis=0)
+    sq = m * m
+    row_sq, col_sq = np.sum(sq, axis=1), np.sum(sq, axis=0)
     row_cap, col_cap = np.sum(row_coord ** 2, axis=1), np.sum(col_coord ** 2, axis=1)
     # Rounding lets a captured norm pass its norm by a fraction of the whole
     # matrix's (a row of norm 1e-17 may read 100); only that much is clipped.
@@ -207,6 +208,22 @@ def pca_scores(x, dims: int = 2) -> np.ndarray:
     if not 1 <= dims <= res.rank:
         raise InputError(f"dims must lie in [1, rank={res.rank}], got {dims}")
     return m @ res.V[:, :dims]
+
+
+def column_correlations(x: np.ndarray, col_labels: tuple[str, ...]) -> np.ndarray:
+    """Pearson correlation matrix of the columns of ``x``, whose columns are
+    centered and may each be scaled by a positive factor: the normalized
+    Gram matrix ``x'x``. A column of zeros (a constant one before
+    centering) raises InputError naming it."""
+    C = x.T @ x
+    d = np.sqrt(np.diag(C))
+    if np.any(d == 0):
+        j = int(np.argmin(d))
+        raise InputError(f"column {col_labels[j]!r} is constant; correlation undefined")
+    C /= np.outer(d, d)
+    np.clip(C, -1.0, 1.0, out=C)
+    np.fill_diagonal(C, 1.0)
+    return C
 
 
 def pearson(t: DataTable) -> np.ndarray:

@@ -1,9 +1,16 @@
 """Dense-matrix primitives: SVD with a deterministic sign convention,
-truncation and best rank-s approximation."""
+the U-free factorization the analyses use, truncation, best rank-s
+approximation and the pin of OpenBLAS to one thread."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -54,9 +61,29 @@ def svd(values) -> SvdResult:
         U, s, Vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    tol = s[0] * max(m.shape) * RANK_TOL_FACTOR if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol))
-    return sign_normalize(SvdResult(U, s, Vt.T, rank))
+    return sign_normalize(SvdResult(U, s, Vt.T, _rank(s, m.shape)))
+
+
+def right_svd(values) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(sigma, V, rank)`` of a dense real matrix X, as ``svd`` gives them,
+    without forming U: the SVD of the triangular factor R of X = QR, which
+    has X's singular values and right singular vectors (Chan's R-SVD).
+
+    Raises InputError on non-finite input and NumericalError if the
+    underlying solver fails to converge.
+    """
+    m = as_matrix(values)
+    try:
+        _, s, Vt = np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    return s, np.multiply(Vt.T, axis_signs(Vt.T), order="C"), _rank(s, m.shape)
+
+
+def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """The number of singular values above ``s[0] * max(shape) * 1e-12``."""
+    tol = s[0] * max(shape) * RANK_TOL_FACTOR if s.size else 0.0
+    return int(np.count_nonzero(s > tol))
 
 
 def axis_signs(m: np.ndarray) -> np.ndarray:
@@ -90,3 +117,49 @@ def low_rank_approx(res: SvdResult, dims: int) -> np.ndarray:
 def reconstruction(res: SvdResult) -> np.ndarray:
     """Full reconstruction U diag(sigma) V'."""
     return low_rank_approx(res, res.sigma.size)
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    numpy (``numpy.libs/libscipy_openblas64_*.so``), or None without one."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(libs / next(name for name in os.listdir(libs)
+                                         if name.startswith("libscipy_openblas64_"))))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_pin_lock = threading.Lock()
+_pins = [0, 1]  # open pins, and the thread count the last one restores
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, so that its results are
+    the same bits at any ``OPENBLAS_NUM_THREADS``, then give back the
+    caller's thread count. The pin is process-wide: blocks may nest and
+    overlap across Python threads, and the count comes back when the last
+    one ends. Without numpy's bundled OpenBLAS this does nothing."""
+    fns = _openblas_threads()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    with _pin_lock:
+        if _pins[0] == 0:
+            _pins[1] = get()
+            set_(1)
+        _pins[0] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins[0] -= 1
+            if _pins[0] == 0:
+                set_(_pins[1])

@@ -10,24 +10,32 @@ import numpy as np
 import orjson
 
 from .data import DataTable, preprocess
-from .engine import (GAMMA_BY_TYPE, BiplotModel, QualityReport, column_cosines, fit_biplot,
-                     pearson, quality)
+from .engine import (GAMMA_BY_TYPE, BiplotModel, QualityReport, column_correlations,
+                     column_cosines, fit_biplot, quality)
 from .errors import InputError
+from .linalg import one_blas_thread
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Complete, serializable result of one biplot analysis."""
+    """Complete, serializable result of one biplot analysis.
+
+    A report built by ``analyze`` holds its numeric blocks (the singular
+    values, both marker sets, ``qr_rows``, ``qr_cols``, the correlations
+    and the cosines) as numpy arrays, the model's and the quality's own;
+    one read back by ``from_json`` holds them as nested lists. Both write
+    the same JSON text, so compare reports by ``to_json()``, not ``==``.
+    """
 
     dataset: dict
     preprocess: dict
     method: dict
-    singular_values: list
-    row_markers: list
-    col_markers: list
+    singular_values: np.ndarray | list
+    row_markers: np.ndarray | list
+    col_markers: np.ndarray | list
     quality: dict
-    correlations: list
-    cosines: list
+    correlations: np.ndarray | list
+    cosines: np.ndarray | list
     warnings: list
 
     def to_json(self) -> str:
@@ -45,7 +53,7 @@ def dumps(doc) -> str:
     """The text of every JSON artifact: strict JSON (NaN and infinities are
     ``null``) with sorted keys, a two-space indent and a final newline."""
     return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
-                        | orjson.OPT_APPEND_NEWLINE).decode()
+                        | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def method_name(gamma: float) -> str:
@@ -56,14 +64,19 @@ def method_name(gamma: float) -> str:
 def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
             scale: str = "zscore") -> tuple[BiplotModel, QualityReport, AnalysisReport]:
     """The analysis pipeline: preprocess ``table``, fit the rank-``dims``
-    biplot, judge its quality of representation and assemble the report."""
-    x, record = preprocess(table, scale)
-    model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,
-                       col_labels=table.col_labels, preprocess_record=record,
-                       name=table.name)
-    qual = quality(model, x)
-    correlations = pearson(table)
-    cosines = column_cosines(model)
+    biplot, judge its quality of representation and assemble the report.
+    OpenBLAS runs on one thread throughout, so the results are the same
+    bits at any thread count."""
+    with one_blas_thread():
+        x, record = preprocess(table, scale)
+        model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,
+                           col_labels=table.col_labels, preprocess_record=record,
+                           name=table.name)
+        qual = quality(model, x)
+        if record.mode == "none":
+            x -= x.mean(axis=0)  # x is not read again, so it is centered in place
+        correlations = column_correlations(x, table.col_labels)
+        cosines = column_cosines(model)
     n, p = model.shape
     return model, qual, AnalysisReport(
         dataset={
@@ -83,17 +96,17 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
             "gamma": model.gamma,
             "dims": model.dims,
         },
-        singular_values=model.sigma_all.tolist(),
-        row_markers=model.row_markers.tolist(),
-        col_markers=model.col_markers.tolist(),
+        singular_values=model.sigma_all,
+        row_markers=model.row_markers,
+        col_markers=model.col_markers,
         quality={
-            "qr_rows": qual.qr_rows.tolist(),
-            "qr_cols": qual.qr_cols.tolist(),
+            "qr_rows": qual.qr_rows,
+            "qr_cols": qual.qr_cols,
             "qr_overall": qual.qr_overall,
             "residual_frobenius": qual.residual_frobenius,
         },
-        correlations=correlations.tolist(),
-        cosines=cosines.tolist(),
+        correlations=correlations,
+        cosines=cosines,
         warnings=_warnings(qual, cosines),
     )
 

@@ -56,10 +56,12 @@ def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
 
 
-def test_analyze_constant_column_zscore_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("scale", ["zscore", "center", "none"])
+def test_analyze_constant_column_exits_2(tmp_path, capsys, scale):
     bad = tmp_path / "const.csv"
-    bad.write_text(",a,b\nr1,5,1\nr2,5,2\nr3,5,3\n", encoding="utf-8")
-    assert main(["analyze", str(bad), "--scale", "zscore"]) == 2
+    bad.write_text(",a,b,c\nr1,5,1,2\nr2,5,2,7\nr3,5,3,1\nr4,5,9,4\n", encoding="utf-8")
+    assert main(["analyze", str(bad), "--scale", scale]) == 2
+    assert capsys.readouterr().err.startswith("error: column 'a' is constant; ")
 
 
 def test_case_json_values(tmp_path):
@@ -168,13 +170,13 @@ def _compare_docs(tmp_path, csv_path, methods):
 @pytest.mark.parametrize("methods, calls", [("jk,pca,mds,ca", 2), ("jk,pca,mds", 1)])
 def test_compare_factors_once(tmp_path, case1_csv, monkeypatch, methods, calls):
     count = []
-    real_svd = linalg.svd
+    real_right_svd = linalg.right_svd
 
-    def counting_svd(values):
+    def counting_right_svd(values):
         count.append(1)
-        return real_svd(values)
+        return real_right_svd(values)
 
-    monkeypatch.setattr(linalg, "svd", counting_svd)
+    monkeypatch.setattr(linalg, "right_svd", counting_right_svd)
     _compare_docs(tmp_path, case1_csv, methods)
     assert len(count) == calls
 
@@ -198,8 +200,10 @@ def test_compare_mds_on_rank1_table_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _seeded_csv(path, n, p, seed):
+def _seeded_csv(path, n, p, seed, positive=False):
     x = np.random.default_rng(seed).normal(size=(n, p))
+    if positive:  # a table correspondence analysis accepts
+        x = np.abs(x) + 1.0
     lines = [",".join([""] + [f"c{j}" for j in range(p)])]
     lines += [",".join([f"r{i}"] + [repr(float(v)) for v in row]) for i, row in enumerate(x)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -207,19 +211,25 @@ def _seeded_csv(path, n, p, seed):
 
 
 def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
-    table = _seeded_csv(tmp_path / "t.csv", 3000, 40, 1)
+    tall = _seeded_csv(tmp_path / "tall.csv", 3000, 40, 1)
+    wide = _seeded_csv(tmp_path / "wide.csv", 300, 100, 1)
+    panels = _seeded_csv(tmp_path / "panels.csv", 1500, 30, 1, positive=True)
     src = str(Path(biplot.__file__).resolve().parents[1])
-    artifacts = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        j, s = tmp_path / f"{threads}.json", tmp_path / f"{threads}.svg"
-        subprocess.run([sys.executable, "-m", "biplot.cli", "analyze", str(table),
-                        "--json", str(j), "--svg", str(s)],
-                       env=env, check=True, capture_output=True, timeout=120)
-        artifacts.append((j.read_bytes(), s.read_bytes()))
-    assert artifacts[0][0] == artifacts[1][0]
-    assert artifacts[0][1] == artifacts[1][1]
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (["analyze", str(tall), "--json", "r.json", "--svg", "p.svg"],
+                 ["analyze", str(wide), "--json", "r.json", "--svg", "p.svg"],
+                 ["compare", str(panels), "--methods", "jk,pca,mds,ca"]):
+        artifacts = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = tmp_path / f"{argv[0]}-{Path(argv[1]).stem}-{threads}"
+            out.mkdir()
+            subprocess.run([sys.executable, "-m", "biplot.cli", *argv], cwd=out,
+                           env=env, check=True, capture_output=True, timeout=120)
+            artifacts.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(artifacts[0]) in (2, 9)
+        for name, blob in artifacts[0].items():
+            assert blob == artifacts[1][name], f"{' '.join(argv[:2])}: {name} differs"
 
 
 @pytest.mark.parametrize("command, options", [("analyze", []),

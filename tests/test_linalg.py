@@ -1,10 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biplot.errors import InputError
-from biplot.linalg import (SvdResult, low_rank_approx, reconstruction,
+from biplot import linalg
+from biplot.errors import InputError, NumericalError
+from biplot.linalg import (SvdResult, low_rank_approx, reconstruction, right_svd,
                            sign_normalize, svd)
 
 
@@ -167,3 +171,98 @@ def test_eckart_young_dominance():
         for _ in range(50):
             comp = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 4))
             assert best <= np.linalg.norm(x - comp, "fro") + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(40, 6), (6, 6), (5, 9), (1, 4), (4, 1)])
+def test_right_svd_is_svd_without_u(shape):
+    """Tall, square and wide shapes, each with a repeated column where it
+    has more than two: sigma, the retained V and the rank of ``svd``."""
+    x = np.random.default_rng(3).normal(size=shape)
+    if shape[1] > 2:
+        x[:, -1] = x[:, 0]
+    sigma, V, rank = right_svd(x)
+    ref = svd(x)
+    assert rank == ref.rank and V.shape == ref.V.shape and V.flags.c_contiguous
+    assert np.max(np.abs(sigma - ref.sigma)) <= 1e-12 * ref.sigma[0]
+    assert np.max(np.abs(V[:, :rank] - ref.V[:, :rank])) <= 1e-10
+
+
+def test_right_svd_failure_is_a_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalError, match="SVD did not converge"):
+        right_svd(np.eye(3))
+    with pytest.raises(InputError):
+        right_svd([[1.0, np.nan], [0.0, 1.0]])
+
+
+def test_one_blas_thread_pins_and_restores():
+    fns = linalg._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    get, set_ = fns
+    before = get()
+    set_(2)
+    try:
+        caller = get()
+        with pytest.raises(ValueError):
+            with linalg.one_blas_thread():
+                assert get() == 1
+                with linalg.one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+                raise ValueError
+        assert get() == caller
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
+    fns = linalg._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    get, set_ = fns
+    before = get()
+    set_(2)
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    try:
+        caller = get()
+        with linalg.one_blas_thread():
+            assert get() == caller
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_overlapping_threads_restore_the_count():
+    """Pins that overlap across more threads than cores each see one
+    thread, and the caller's count comes back after the last."""
+    fns = linalg._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    get, set_ = fns
+    before, interval = get(), sys.getswitchinterval()
+    seen, start = [], threading.Barrier(4)
+
+    def work():
+        start.wait(timeout=60)
+        for _ in range(10000):
+            with linalg.one_blas_thread():
+                seen.append(get())
+
+    set_(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = get()
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert len(seen) == 40000 and set(seen) == {1}
+        assert get() == caller
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
