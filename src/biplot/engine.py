@@ -18,8 +18,8 @@ class BiplotModel:
 
     ``row_markers = U_s diag(sigma_s)^gamma`` and
     ``col_markers = V_s diag(sigma_s)^(1-gamma)`` for the sign-normalized
-    SVD of the preprocessed matrix X; the fit computes the row markers as
-    ``X V_s diag(sigma_s)^(gamma-1)``, since ``U_s diag(sigma_s) = X V_s``.
+    SVD of the preprocessed matrix X; the fit computes ``U_s diag(sigma_s)``
+    as ``X V_s``, and for ``gamma < 1`` takes ``U_s`` from a QR of it.
     """
 
     gamma: float
@@ -87,7 +87,10 @@ def fit_biplot(x, gamma: float, dims: int = 2,
         raise InputError(f"dims must lie in [1, rank={rank}], got {dims}")
     # sigma > 0 on the retained axes, as dims <= rank
     s = sigma[:dims]
-    A = (m @ V[:, :dims]) * s ** (gamma - 1.0)
+    A = m @ V[:, :dims]  # U_s diag(sigma_s), the JK rows
+    if gamma < 1.0:
+        Q, R = np.linalg.qr(A)  # U_s orthonormal to rounding, unlike A / s
+        A = Q * np.where(np.diag(R) < 0, -1.0, 1.0) * s ** gamma
     B = np.multiply(V[:, :dims], s ** (1.0 - gamma), order="C")
     n, p = m.shape
     row_labels = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(n))

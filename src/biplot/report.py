@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,10 @@ from .engine import (GAMMA_BY_TYPE, BiplotModel, QualityReport, column_correlati
 from .errors import InputError
 from .linalg import one_blas_thread
 
+# Widest table whose report holds the p x p correlations and cosines: every paper
+# table fits; past it they grow into nearly all of the report, and past reading.
+_BLOCKS_MAX_COLS = 64
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -25,6 +28,7 @@ class AnalysisReport:
     and the cosines) as numpy arrays, the model's and the quality's own;
     one read back by ``from_json`` holds them as nested lists. Both write
     the same JSON text, so compare reports by ``to_json()``, not ``==``.
+    Above ``_BLOCKS_MAX_COLS`` columns the two blocks are ``None``, not in the JSON.
     """
 
     dataset: dict
@@ -34,19 +38,21 @@ class AnalysisReport:
     row_markers: np.ndarray | list
     col_markers: np.ndarray | list
     quality: dict
-    correlations: np.ndarray | list
-    cosines: np.ndarray | list
+    correlations: np.ndarray | list | None
+    cosines: np.ndarray | list | None
     warnings: list
+    schema_version: int
 
     def to_json(self) -> str:
-        """Key-sorted JSON; floats keep their shortest round-trip form."""
-        return dumps(self.__dict__)
+        """Key-sorted JSON without the ``None`` blocks; floats keep their shortest form."""
+        return dumps({k: v for k, v in self.__dict__.items() if v is not None})
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        """Read a report back; json's reader also takes the ``NaN`` of
-        reports written before ``null``."""
-        return cls(**json.loads(text))
+        """Read a report of either schema (schema 1 has no version key and
+        always holds the blocks); json's reader also takes older ``NaN``s."""
+        return cls(**{"correlations": None, "cosines": None, "schema_version": 1}
+                   | json.loads(text))
 
 
 def dumps(doc) -> str:
@@ -73,10 +79,16 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
                            col_labels=table.col_labels, preprocess_record=record,
                            name=table.name)
         qual = quality(model, x)
-        if record.mode == "none":
-            x -= x.mean(axis=0)  # x is not read again, so it is centered in place
-        correlations = column_correlations(x, table.col_labels)
-        cosines = column_cosines(model)
+        # No correlation is defined: refused at every width, from the table's values
+        if (constant := np.flatnonzero((table.values == table.values[0]).all(axis=0))).size:
+            raise InputError(f"column {table.col_labels[constant[0]]!r} is constant; "
+                             "correlation undefined")
+        correlations = cosines = None
+        if model.shape[1] <= _BLOCKS_MAX_COLS:
+            if record.mode == "none":
+                x -= x.mean(axis=0)  # x is not read again, so it is centered in place
+            correlations = column_correlations(x, table.col_labels)
+            cosines = column_cosines(model)
     n, p = model.shape
     return model, qual, AnalysisReport(
         dataset={
@@ -107,14 +119,18 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
         },
         correlations=correlations,
         cosines=cosines,
-        warnings=_warnings(qual, cosines),
+        warnings=_warnings(qual, cosines, p),
+        schema_version=2,
     )
 
 
-def _warnings(qual: QualityReport, cosines: np.ndarray) -> list[str]:
+def _warnings(qual: QualityReport, cosines: np.ndarray | None, p: int) -> list[str]:
     """What the report's numbers do not say by themselves."""
     out = []
-    if np.isnan(cosines).any():
+    if cosines is None:
+        out.append(f"{p} columns, more than {_BLOCKS_MAX_COLS}: correlations and cosines left out; "
+                   "engine.column_correlations and engine.column_cosines compute them")
+    elif np.isnan(cosines).any():
         out.append("cosines undefined for zero-length column markers")
     noise = [("row", label) for label in qual.noise_rows]
     noise += [("column", label) for label in qual.noise_cols]
@@ -135,12 +151,13 @@ _ARROW_HEAD = ('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6
                '</marker></defs>\n')
 # The characters XML 1.0 forbids in a document.
 _NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
-# Any character that ``_escape`` changes.
-_MARKUP = re.compile("[%s]" % re.escape("".join(map(chr, _NOT_XML)) + "&<>"))
 # Rows formatted per block; ``%.3f`` writes the same text as ``_fmt``.
 _BLOCK = 4096
-_ROW = ('<circle class="dot" cx="%.3f" cy="%.3f" r="3" fill="#003366"/>\n'
-        '<text class="row-label" x="%.3f" y="%.3f" font-size="11" fill="#003366">%s</text>\n')
+_DOT = '<circle class="dot" cx="%.3f" cy="%.3f" r="3" fill="#003366"/>\n'
+_LABEL = '<text class="row-label" x="%.3f" y="%.3f" font-size="11" fill="#003366">%s</text>\n'
+# Rows labelled in a panel: more overprint into a blot, and the rows farthest out
+# carry the plane (Greenacre's contribution biplot); the others keep their dot.
+_LABELLED_ROWS = 100
 
 
 def _fmt(v: float) -> str:
@@ -188,17 +205,22 @@ def _place(*coords: np.ndarray):
     return [(_CX + c[:, 0] * unit, _CY - c[:, 1] * unit) for c in coords]
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray, labels):
-    """A labelled dot at each row's pixel position, in every panel, as one
-    string per block of ``_BLOCK`` rows. Labels are escaped only when one
-    of them holds a character that ``_escape`` changes."""
-    if _MARKUP.search("".join(labels)):
-        labels = [_escape(label) for label in labels]
+def _row_dots(coords: np.ndarray, x: np.ndarray, y: np.ndarray, labels):
+    """A dot at each row's pixel position ``(x, y)``, in every panel, as one string
+    per block of ``_BLOCK`` rows; the ``_LABELLED_ROWS`` rows whose ``coords`` lie
+    farthest from the origin, ties in row order, have their label after their dot."""
+    shown, k = range(len(x)), _LABELLED_ROWS
+    if len(x) > k:  # the k largest distances, without sorting them all
+        d = np.hypot(coords[:, 0], coords[:, 1])
+        top = np.flatnonzero(d >= np.partition(d, -k)[-k])
+        shown = top[np.argsort(-d[top], kind="stable")[:k]].tolist()
+    text = {j: _LABEL % (x[j] + 5, y[j] + 3, _escape(labels[j])) for j in shown}
     for i in range(0, len(x), _BLOCK):
-        bx, by = x[i:i + _BLOCK], y[i:i + _BLOCK]
-        yield "".join(map(_ROW.__mod__, zip(bx.tolist(), by.tolist(), (bx + 5).tolist(),
-                                            (by + 3).tolist(), labels[i:i + _BLOCK],
-                                            strict=True)))
+        dots = list(map(_DOT.__mod__, zip(x[i:i + _BLOCK].tolist(), y[i:i + _BLOCK].tolist())))
+        for j, label in text.items():
+            if i <= j < i + _BLOCK:
+                dots[j - i] += label
+        yield "".join(dots)
 
 
 def svg_lines(model: BiplotModel, quality: QualityReport, *, vector_scale: float | None = None):
@@ -229,7 +251,7 @@ def svg_lines(model: BiplotModel, quality: QualityReport, *, vector_scale: float
     legend = (f'{method_name(model.gamma).upper()} biplot | '
               f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{vector_scale:.4g}')
     return _frame(model.axis_variance_shares() * 100.0, legend,
-                  arrows(), _row_dots(*rows, model.row_labels), defs=_ARROW_HEAD)
+                  arrows(), _row_dots(A, *rows, model.row_labels), defs=_ARROW_HEAD)
 
 
 def render_svg(model: BiplotModel, quality: QualityReport, *,
@@ -263,5 +285,5 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
             yield (f'<text class="col-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
                    f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
 
-    return "".join(_frame(shares, title, _row_dots(*rows, labels),
+    return "".join(_frame(shares, title, _row_dots(sets[0], *rows, labels),
                           *(squares(*c) for c in cols)))

@@ -12,7 +12,8 @@ import biplot
 from biplot import linalg, report
 from biplot.baselines import classical_mds
 from biplot.cli import main
-from biplot.data import case_csv, load_case, parse_table, preprocess
+from biplot.data import (DataTable, case_csv, load_case, parse_table, preprocess,
+                         serialize_table)
 from biplot.report import analyze, render_svg
 
 
@@ -62,6 +63,24 @@ def test_analyze_constant_column_exits_2(tmp_path, capsys, scale):
     bad.write_text(",a,b,c\nr1,5,1,2\nr2,5,2,7\nr3,5,3,1\nr4,5,9,4\n", encoding="utf-8")
     assert main(["analyze", str(bad), "--scale", scale]) == 2
     assert capsys.readouterr().err.startswith("error: column 'a' is constant; ")
+
+
+@pytest.mark.parametrize("value", [5.0, 0.1])
+@pytest.mark.parametrize("scale", ["zscore", "center", "none"])
+@pytest.mark.parametrize("p", [64, 65])
+def test_analyze_constant_column_exits_2_at_every_width(tmp_path, capsys, scale, p, value):
+    # The report holds no correlations above 64 columns; the column is refused all the same.
+    # The mean of 80 cells of 0.1 is not 0.1, so centering leaves rounding in that column.
+    x = np.random.default_rng(p).normal(size=(80, p))
+    x[:, 40] = value
+    bad = tmp_path / "const.csv"
+    bad.write_text(serialize_table(DataTable("const", tuple(f"r{i}" for i in range(80)),
+                                             tuple(f"c{j}" for j in range(p)), x)),
+                   encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(bad), "--scale", scale, "--json", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: column 'c40' is constant; ")
+    assert not out.exists()
 
 
 def test_case_json_values(tmp_path):
@@ -213,12 +232,14 @@ def _seeded_csv(path, n, p, seed, positive=False):
 def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
     tall = _seeded_csv(tmp_path / "tall.csv", 3000, 40, 1)
     wide = _seeded_csv(tmp_path / "wide.csv", 300, 100, 1)
+    blocks = _seeded_csv(tmp_path / "blocks.csv", 300, 64, 1)  # the widest with p x p blocks
     panels = _seeded_csv(tmp_path / "panels.csv", 1500, 30, 1, positive=True)
     src = str(Path(biplot.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for argv in (["analyze", str(tall), "--json", "r.json", "--svg", "p.svg"],
                  ["analyze", str(wide), "--json", "r.json", "--svg", "p.svg"],
-                 ["compare", str(panels), "--methods", "jk,pca,mds,ca"]):
+                 ["compare", str(panels), "--methods", "jk,pca,mds,ca"],
+                 ["analyze", str(blocks), "--json", "r.json", "--svg", "p.svg"]):
         artifacts = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)

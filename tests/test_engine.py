@@ -50,6 +50,20 @@ def test_marker_orthonormality_by_gamma():
     assert np.allclose(bb, np.diag(ms.sigma_retained), atol=1e-10)
 
 
+@pytest.mark.parametrize("fit", [gh, sqrt_biplot])
+def test_row_markers_orthonormal_near_the_rank_tolerance(fit):
+    # A kept singular value of 1e-9: dividing X V_s by it, rather than
+    # taking U_s from a QR, left max|U_s'U_s - I| at 1.2e-7.
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.normal(size=(50, 4)))
+    V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    x = U * [1.0, 1e-9, 1e-10, 1e-11] @ V.T
+    m = fit(x, 2)
+    u = m.row_markers / m.sigma_retained ** m.gamma
+    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-14
+    assert np.all(np.sum(u * jk(x, 2).row_markers, axis=0) > 0)  # the signs of X V_s
+
+
 def test_full_rank_reconstruction_for_every_gamma():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(6, 4))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from biplot.engine import column_cosines, fit_biplot, jk, pearson, quality, sqrt
 from biplot.errors import InputError
 from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, _fmt, analyze,
                            dumps, method_name, render_scatter_svg, render_svg, svg_lines)
+
+_LABELLED = 100  # rows that carry a label in a panel
 
 
 def fitted_case(cid=1):
@@ -33,6 +36,48 @@ def test_report_round_trip_exact():
     _, _, _, rep = full_report(1)
     text = rep.to_json()
     assert AnalysisReport.from_json(text).to_json() == text
+    assert AnalysisReport.from_json(text).schema_version == 2
+
+
+def _table(n, p, seed=0):
+    x = np.random.default_rng(seed).normal(size=(n, p))
+    return DataTable(f"t{p}", tuple(f"r{i}" for i in range(n)),
+                     tuple(f"c{j}" for j in range(p)), x)
+
+
+@pytest.mark.parametrize("p", [64, 65])
+def test_report_blocks_up_to_64_columns(p):
+    _, _, rep = analyze(_table(150, p))
+    doc = json.loads(rep.to_json())
+    assert doc["schema_version"] == rep.schema_version == 2
+    if p == 64:
+        assert rep.correlations.shape == rep.cosines.shape == (64, 64)
+        assert len(doc["correlations"]) == len(doc["cosines"]) == 64
+        assert rep.warnings == []
+    else:
+        assert rep.correlations is None and rep.cosines is None
+        assert "correlations" not in doc and "cosines" not in doc
+        assert rep.warnings == ["65 columns, more than 64: correlations and cosines left out; "
+                                "engine.column_correlations and engine.column_cosines compute them"]
+
+
+def test_from_json_reads_schema_2_without_blocks():
+    _, _, rep = analyze(_table(120, 65))
+    text = rep.to_json()
+    back = AnalysisReport.from_json(text)
+    assert back.schema_version == 2 and back.correlations is None and back.cosines is None
+    assert back.to_json() == text
+
+
+def test_from_json_reads_schema_1():
+    _, _, _, rep = full_report(1)
+    doc = json.loads(rep.to_json())
+    del doc["schema_version"]  # schema 1: no version key, the blocks always there
+    back = AnalysisReport.from_json(dumps(doc))
+    assert back.schema_version == 1
+    assert back.correlations == rep.correlations.tolist()
+    assert back.cosines == rep.cosines.tolist()
+    assert json.loads(back.to_json()) == {**doc, "schema_version": 1}
 
 
 def test_report_json_is_key_sorted():
@@ -45,7 +90,7 @@ def test_report_completeness():
     _, _, _, rep = full_report(3)
     for field in ("dataset", "preprocess", "method", "singular_values",
                   "row_markers", "col_markers", "quality", "correlations",
-                  "cosines", "warnings"):
+                  "cosines", "warnings", "schema_version"):
         assert getattr(rep, field) is not None
     assert rep.quality.keys() == {"qr_rows", "qr_cols", "qr_overall",
                                   "residual_frobenius"}
@@ -159,19 +204,23 @@ def test_scatter_needs_one_label_per_point():
         render_scatter_svg(rows, ("a",), "t")
 
 
-# The row layer, written in blocks, against the per-row writer it
-# replaced: one f-string per element and ``_escape`` on every label.
+# The row layer, written in blocks, against a per-row writer: one
+# f-string per element, and ``_escape`` on each label drawn. A label is
+# drawn on the 100 rows farthest from the origin, ties in row order.
 
 def _reference_rows(coords, labels, *more_coords):
-    """The row dots of ``coords`` as the per-row writer drew them, on the
+    """The row dots of ``coords`` as the per-row writer draws them, on the
     scale shared with ``more_coords``."""
     unit = _HALF / (max(float(np.max(np.abs(c))) for c in (coords, *more_coords)) or 1.0)
     points = zip((_CX + coords[:, 0] * unit).tolist(), (_CY - coords[:, 1] * unit).tolist())
+    far = sorted(range(len(coords)), key=lambda i: (-math.hypot(*coords[i].tolist()), i))
+    shown = set(far[:_LABELLED])
     out = []
-    for (x, y), label in zip(points, labels, strict=True):
+    for i, ((x, y), label) in enumerate(zip(points, labels, strict=True)):
         out.append(f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n')
-        out.append(f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
-                   f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
+        if i in shown:
+            out.append(f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
+                       f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
     return "".join(out)
 
 
@@ -193,13 +242,39 @@ def test_row_blocks_match_per_row_writer(n, odd):
     if odd is not None:
         labels[-1] = f"x{odd}y"  # the one label that needs escaping, in the last block
     x = np.random.default_rng(n).normal(size=(n, 3))
+    x[-1] *= 10.0  # the last row is labelled: it lies farthest out in both panels
     m = fit_biplot(x, 1.0, 2, row_labels=tuple(labels), col_labels=("a", "b", "c"))
     svg = render_svg(m, quality(m, x), vector_scale=1.5)
     _assert_row_layer(svg, _reference_rows(m.row_markers, labels, m.col_markers * 1.5))
+    assert f">{_escape(labels[-1])}</text>" in svg
     cols = x[:3, 1:] * 4.0
     svg = render_scatter_svg(x[:, :2], tuple(labels), "t", col_coords=cols,
                              col_labels=("a", "b", "c"))
     _assert_row_layer(svg, _reference_rows(x[:, :2], labels, cols))
+    assert f">{_escape(labels[-1])}</text>" in svg
+    assert svg.count('class="row-label"') == _LABELLED
+
+
+def test_hundred_rows_all_labelled():
+    x = np.random.default_rng(3).normal(size=(100, 2))
+    labels = tuple(f"r{i}" for i in range(100))
+    svg = render_scatter_svg(x, labels, "t")
+    _assert_row_layer(svg, _reference_rows(x, labels))
+    assert svg.count('class="row-label"') == 100
+
+
+@pytest.mark.parametrize("n", [101, 201])
+def test_more_rows_label_the_farthest_hundred(n):
+    # Every row lies at distance 1 but the last, at 2: the 99 labels left
+    # after it go to the first 99 rows, which win the tie by row order.
+    coords = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]] * 50)[:n - 1]
+    coords = np.vstack([coords, [[2.0, 0.0]]])
+    labels = tuple(f"r{i}" for i in range(n))
+    svg = render_scatter_svg(coords, labels, "t")
+    _assert_row_layer(svg, _reference_rows(coords, labels))
+    assert svg.count("<circle") == n
+    drawn = re.findall(r'class="row-label"[^>]*>(r\d+)</text>', svg)
+    assert drawn == [f"r{i}" for i in [*range(99), n - 1]]
 
 
 _COORD = st.floats(allow_nan=False, allow_infinity=False)
