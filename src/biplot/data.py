@@ -137,11 +137,7 @@ def _read_header(records, name: str) -> list[str]:
         _, header = next(records)
     except StopIteration:
         raise InputError(f"{name!r}: empty input, expected a header row") from None
-    col_labels = [_strip_label(c) for c in header[1:]]
-    if len(col_labels) < MIN_COLS:
-        raise InputError(f"{name!r}: header declares {len(col_labels)} columns, "
-                         f"need at least {MIN_COLS}")
-    return col_labels
+    return [_strip_label(c) for c in header[1:]]
 
 
 # Characters of lines read per chunk of the body. The chunk's line, number
@@ -205,11 +201,8 @@ def _parse_fast(fh, name: str) -> DataTable:
             raise ValueError("a cell that is not a number") from None
         if len(rows) != len(rests) or set(map(len, rows)) != {p}:
             raise ValueError("row count or field count needs the reference parser")
-    n = len(labels)
-    if n < MIN_ROWS:
-        raise ValueError("too few rows for the fast path")
     return DataTable(name, tuple(map(_strip_label, labels)), tuple(col_labels),
-                     np.frombuffer(values).reshape(n, p))
+                     np.frombuffer(values).reshape(len(labels), p))
 
 
 def _parse_reference(source, name: str) -> DataTable:
@@ -235,8 +228,6 @@ def _parse_reference(source, name: str) -> DataTable:
                                  f"column {col_labels[j]!r}") from None
         row_labels.append(label)
         rows.append(parsed)
-    if len(row_labels) < MIN_ROWS:
-        raise InputError(f"{name!r}: {len(row_labels)} data rows, need at least {MIN_ROWS}")
     return DataTable(name, tuple(row_labels), tuple(col_labels), np.array(rows))
 
 
@@ -258,6 +249,16 @@ def serialize_table(t: DataTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def refuse_constant_column(t: DataTable, undefined: str) -> None:
+    """Raise InputError naming the first column of ``t`` whose values are all
+    equal, for which ``undefined`` (such as "zscore") is not defined. It reads
+    the raw values: centering 80 cells of 0.1 leaves a sd of rounding, not 0."""
+    constant = np.flatnonzero((t.values == t.values[0]).all(axis=0))
+    if constant.size:
+        raise InputError(f"column {t.col_labels[constant[0]]!r} is constant; "
+                         f"{undefined} undefined")
+
+
 def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, PreprocessRecord]:
     """Column-wise preprocessing: none, center, or zscore (sample sd, n-1)."""
     x = t.values
@@ -268,10 +269,8 @@ def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, Preproce
     if mode == "center":
         return x - means, PreprocessRecord("center", tuple(means.tolist()), ones)
     if mode == "zscore":
+        refuse_constant_column(t, "zscore")
         sds = x.std(axis=0, ddof=1)
-        if np.any(sds == 0):
-            j = int(np.argmin(sds))
-            raise InputError(f"column {t.col_labels[j]!r} is constant; zscore undefined")
         return (x - means) / sds, PreprocessRecord("zscore", tuple(means.tolist()),
                                                    tuple(sds.tolist()))
     raise InputError(f"unknown preprocessing mode {mode!r}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import DataTable, PreprocessRecord
+from .data import DataTable, refuse_constant_column
 from .errors import InputError, NumericalError
 
 
@@ -29,10 +29,8 @@ class BiplotModel:
     sigma_retained: np.ndarray  # s
     sigma_all: np.ndarray       # r
     rank: int
-    preprocess: PreprocessRecord
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    name: str = ""
 
     def __post_init__(self):
         for a in (self.row_markers, self.col_markers, self.sigma_retained, self.sigma_all):
@@ -72,9 +70,7 @@ class QualityReport:
 
 def fit_biplot(x, gamma: float, dims: int = 2,
                row_labels: tuple[str, ...] | None = None,
-               col_labels: tuple[str, ...] | None = None,
-               preprocess_record: PreprocessRecord | None = None,
-               name: str = "") -> BiplotModel:
+               col_labels: tuple[str, ...] | None = None) -> BiplotModel:
     """Factorize an already-preprocessed matrix into biplot markers.
 
     The engine never re-centers; pass the output of ``data.preprocess``.
@@ -101,8 +97,7 @@ def fit_biplot(x, gamma: float, dims: int = 2,
     return BiplotModel(gamma=float(gamma), dims=int(dims),
                        row_markers=A, col_markers=B,
                        sigma_retained=s.copy(), sigma_all=sigma, rank=rank,
-                       preprocess=preprocess_record or PreprocessRecord("none"),
-                       row_labels=row_labels, col_labels=col_labels, name=name)
+                       row_labels=row_labels, col_labels=col_labels)
 
 
 def jk(x, dims: int = 2, **kw) -> BiplotModel:
@@ -231,10 +226,7 @@ def column_correlations(x: np.ndarray, col_labels: tuple[str, ...]) -> np.ndarra
 
 def pearson(t: DataTable) -> np.ndarray:
     """Sample Pearson correlation matrix of a table's columns."""
-    sds = t.values.std(axis=0, ddof=1)
-    if np.any(sds == 0):
-        j = int(np.argmin(sds))
-        raise InputError(f"column {t.col_labels[j]!r} is constant; correlation undefined")
+    refuse_constant_column(t, "correlation")
     C = np.corrcoef(t.values, rowvar=False)
     C = np.clip(C, -1.0, 1.0)
     np.fill_diagonal(C, 1.0)

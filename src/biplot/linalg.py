@@ -51,7 +51,9 @@ class SvdResult:
 
 
 def svd(values) -> SvdResult:
-    """Full SVD of a dense real matrix, sign-normalized.
+    """Full SVD of a dense real matrix, signed by ``axis_signs``: each column
+    of V has its largest-|entry| (first index on ties) made nonnegative and
+    U's matching column flips with it, so U diag(sigma) V' is unchanged.
 
     Raises InputError on non-finite input and NumericalError if the
     underlying solver fails to converge.
@@ -61,7 +63,9 @@ def svd(values) -> SvdResult:
         U, s, Vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return sign_normalize(SvdResult(U, s, Vt.T, _rank(s, m.shape)))
+    signs = axis_signs(Vt.T)
+    return SvdResult(np.multiply(U, signs, order="C"), s,
+                     np.multiply(Vt.T, signs, order="C"), _rank(s, m.shape))
 
 
 def right_svd(values) -> tuple[np.ndarray, np.ndarray, int]:
@@ -91,19 +95,6 @@ def axis_signs(m: np.ndarray) -> np.ndarray:
     ties) is negative, else 1.0."""
     pivots = np.argmax(np.abs(m), axis=0)
     return np.where(m[pivots, np.arange(m.shape[1])] < 0, -1.0, 1.0)
-
-
-def sign_normalize(res: SvdResult) -> SvdResult:
-    """Resolve the SVD sign ambiguity deterministically.
-
-    For each component k the entry of V[:, k] with the largest absolute
-    value is made nonnegative (ties broken by the smallest row index);
-    the matching column of U flips in tandem, so the reconstruction is
-    unchanged. U and V come back as new C-contiguous arrays.
-    """
-    signs = axis_signs(res.V)
-    return SvdResult(np.multiply(res.U, signs, order="C"), res.sigma,
-                     np.multiply(res.V, signs, order="C"), res.rank)
 
 
 def low_rank_approx(res: SvdResult, dims: int) -> np.ndarray:

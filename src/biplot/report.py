@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .data import DataTable, preprocess
+from .data import DataTable, preprocess, refuse_constant_column
 from .engine import (GAMMA_BY_TYPE, BiplotModel, QualityReport, column_correlations,
                      column_cosines, fit_biplot, quality)
 from .errors import InputError
-from .linalg import one_blas_thread
+from .linalg import as_matrix, one_blas_thread
 
 # Widest table whose report holds the p x p correlations and cosines: every paper
 # table fits; past it they grow into nearly all of the report, and past reading.
@@ -73,16 +73,12 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
     biplot, judge its quality of representation and assemble the report.
     OpenBLAS runs on one thread throughout, so the results are the same
     bits at any thread count."""
+    refuse_constant_column(table, "correlation")  # at every width, before any work
     with one_blas_thread():
         x, record = preprocess(table, scale)
         model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,
-                           col_labels=table.col_labels, preprocess_record=record,
-                           name=table.name)
+                           col_labels=table.col_labels)
         qual = quality(model, x)
-        # No correlation is defined: refused at every width, from the table's values
-        if (constant := np.flatnonzero((table.values == table.values[0]).all(axis=0))).size:
-            raise InputError(f"column {table.col_labels[constant[0]]!r} is constant; "
-                             "correlation undefined")
         correlations = cosines = None
         if model.shape[1] <= _BLOCKS_MAX_COLS:
             if record.mode == "none":
@@ -92,16 +88,16 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
     n, p = model.shape
     return model, qual, AnalysisReport(
         dataset={
-            "name": model.name,
+            "name": table.name,
             "n_rows": n,
             "n_cols": p,
             "row_labels": list(model.row_labels),
             "col_labels": list(model.col_labels),
         },
         preprocess={
-            "mode": model.preprocess.mode,
-            "means": list(model.preprocess.means),
-            "sds": list(model.preprocess.sds),
+            "mode": record.mode,
+            "means": list(record.means),
+            "sds": list(record.sds),
         },
         method={
             "name": method_name(model.gamma),
@@ -267,11 +263,11 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
     """Deterministic scatter panel for the baseline methods: the biplot's
     row dots without its arrows. Column coordinates, if given, are drawn
     as squares on the same scale, each labelled from ``col_labels``."""
-    sets = [np.asarray(coords, dtype=float)]
+    sets = [as_matrix(coords, "coords")]
     if col_coords is not None:
-        sets.append(np.asarray(col_coords, dtype=float))
+        sets.append(as_matrix(col_coords, "col_coords"))
     for pts, names in zip(sets, (labels, col_labels)):
-        if pts.ndim != 2 or pts.shape[1] != 2:
+        if pts.shape[1] != 2:
             raise InputError(f"scatter rendering needs n x 2 coordinates, got {pts.shape}")
         if len(names) != len(pts):
             raise InputError(f"scatter rendering needs one label per point, "

@@ -19,8 +19,7 @@ from biplot.linalg import low_rank_approx, reconstruction, svd
 def default_analysis(cid):
     t = load_case(cid)
     x, rec = preprocess(t, "zscore")
-    m = jk(x, 2, row_labels=t.row_labels, col_labels=t.col_labels,
-           preprocess_record=rec, name=t.name)
+    m = jk(x, 2, row_labels=t.row_labels, col_labels=t.col_labels)
     return t, x, m, quality(m, x)
 
 

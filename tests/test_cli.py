@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biplot
 from biplot import linalg, report
@@ -371,6 +377,69 @@ def test_unwritable_artifact_path_exits_2(tmp_path, case1_csv, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["case1.csv", "file.txt"]
+
+
+@pytest.mark.parametrize("fault", ["ragged", "nonfinite", "constant", "dims", "gamma",
+                                   "unwritable", "no_convergence"])
+@settings(max_examples=15, deadline=None)
+@given(command=st.sampled_from(["analyze", "compare"]),
+       scale=st.sampled_from(["zscore", "center", "none"]), n=st.integers(3, 8),
+       p=st.integers(3, 6), data=st.data())
+def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, scale, n, p,
+                                                                data):
+    # One fault per call, in the table, the arguments, the output path or the solver.
+    # Input errors exit 2 and numerical failures 3, with a message naming the fault and
+    # no traceback; any exception escaping main fails the test. The table has 3 or more
+    # columns, as compare's correspondence analysis needs for its 2 axes.
+    rows = [[repr(v) for v in row]
+            for row in (np.abs(np.random.default_rng(n * p).normal(size=(n, p))) + 1).tolist()]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))
+    code, says, options, unwritable = 2, "", [], None
+    if fault == "ragged":
+        rows[i] = rows[i][:-1] if data.draw(st.booleans()) else rows[i] + ["1.0"]
+        says = f"'r{i}'"
+    elif fault == "nonfinite":
+        rows[i][j] = data.draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"]))
+        says = f"row 'r{i}', column 'c{j}'"
+    elif fault == "constant":
+        value = data.draw(st.sampled_from(["5", "0.1", "0", "-2.5"]))
+        for row in rows:
+            row[j] = value
+        says = f"column 'c{j}' is constant; "
+    elif fault == "dims":
+        command, says = "analyze", "dims must lie in [1, rank="
+        options = ["--dims", str(data.draw(st.integers(min(n, p) + 1, min(n, p) + 3)))]
+    elif fault == "gamma":
+        command, says = "analyze", "gamma must lie in [0, 1], got "
+        gamma = data.draw(st.floats().filter(lambda g: not 0.0 <= g <= 1.0))
+        options = [f"--gamma={gamma!r}"]
+    elif fault == "unwritable":  # an unwritable --svg comes after --json is written
+        says, unwritable = "cannot write ", data.draw(st.sampled_from(["--json", "--svg", "--out"]))
+        command = "compare" if unwritable == "--out" else "analyze"
+    else:
+        code, says = 3, "SVD did not converge"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        table, blocker = tmp / "t.csv", tmp / "file.txt"
+        table.write_text("\n".join([",".join([""] + [f"c{k}" for k in range(p)])]
+                                   + [",".join([f"r{k}"] + row) for k, row in enumerate(rows)]),
+                         encoding="utf-8")
+        blocker.write_text("not a directory", encoding="utf-8")
+        if command == "analyze":
+            argv = ["analyze", str(table), "--scale", scale, *options]
+            for flag, name in (("--json", "r.json"), ("--svg", "p.svg")):
+                argv += [flag, str((blocker if flag == unwritable else tmp) / name)]
+        else:
+            argv = ["compare", str(table), "--out", str((blocker if unwritable else tmp) / "out")]
+        err = io.StringIO()
+        solver = (mock.patch.object(np.linalg, "svd",
+                                    side_effect=np.linalg.LinAlgError("SVD did not converge"))
+                  if fault == "no_convergence" else contextlib.nullcontext())
+        with solver, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == code
+        assert err.getvalue().startswith("error: " if code == 2 else "numerical failure: ")
+        assert says in err.getvalue() and "Traceback" not in err.getvalue()
+        assert sorted(f.name for f in tmp.rglob("*") if f.is_file()) == ["file.txt", "t.csv"]
 
 
 def test_labels_with_characters_xml_forbids_give_well_formed_svgs(tmp_path):

@@ -41,11 +41,15 @@ def test_parse_rejects_duplicate_labels():
         parse_table(",a,a\nr1,1,2\nr2,3,4\nr3,5,6\n", "bad")
 
 
-def test_parse_rejects_too_small():
-    with pytest.raises(InputError):
-        parse_table(",a,b\nr1,1,2\nr2,3,4\n", "bad")  # n < 3
-    with pytest.raises(InputError):
-        parse_table(",a\nr1,1\nr2,3\nr3,5\n", "bad")  # p < 2
+@pytest.mark.parametrize("parse", [parse_table, _parse_reference])
+def test_parse_rejects_too_small(parse):
+    # DataTable alone holds the size rule, so both parsers give its message
+    with pytest.raises(InputError, match=r"^table 'bad' needs at least 3 rows and 2 columns, "
+                                         r"got 2x2$"):
+        parse(",a,b\nr1,1,2\nr2,3,4\n", "bad")
+    with pytest.raises(InputError, match=r"^table 'bad' needs at least 3 rows and 2 columns, "
+                                         r"got 3x1$"):
+        parse(",a\nr1,1\nr2,3\nr3,5\n", "bad")
 
 
 def test_roundtrip_serialize_reparse():
@@ -138,9 +142,13 @@ def test_preprocess_record_holds_python_floats(mode):
     assert {type(v) for v in rec.means + rec.sds} == {float}
 
 
-def test_preprocess_zscore_rejects_constant_column():
-    t = parse_table(",a,b\nr1,5,2\nr2,5,4\nr3,5,6\n", "m")
-    with pytest.raises(InputError, match="'a'"):
+@pytest.mark.parametrize("value", [5.0, 0.1])
+def test_preprocess_zscore_rejects_constant_column(value):
+    # The mean of 80 cells of 0.1 is not 0.1, so their sample sd is rounding, not 0.
+    x = np.random.default_rng(0).normal(size=(80, 2))
+    x[:, 0] = value
+    t = DataTable("m", tuple(f"r{i}" for i in range(80)), ("a", "b"), x)
+    with pytest.raises(InputError, match="^column 'a' is constant; zscore undefined$"):
         preprocess(t, "zscore")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biplot.data import load_case, parse_table, preprocess
+from biplot.data import DataTable, load_case, parse_table, preprocess
 from biplot.engine import (column_cosines, fit_biplot, gh, jk, pca_scores, pearson, quality,
                            reconstruct, row_distances, sqrt_biplot)
 from biplot.errors import InputError, NumericalError
@@ -308,9 +308,12 @@ def test_pearson_examples():
     assert abs(P[cavg, ncit] - 0.928) <= 0.01
 
 
-def test_pearson_constant_column_rejected():
-    tt = parse_table(",a,b\nr1,5,1\nr2,5,2\nr3,5,3\n", "const")
-    with pytest.raises(InputError):
+@pytest.mark.parametrize("value", [5.0, 0.1])
+def test_pearson_constant_column_rejected(value):
+    x = np.random.default_rng(0).normal(size=(80, 2))
+    x[:, 0] = value
+    tt = DataTable("const", tuple(f"r{i}" for i in range(80)), ("a", "b"), x)
+    with pytest.raises(InputError, match="^column 'a' is constant; correlation undefined$"):
         pearson(tt)
 
 

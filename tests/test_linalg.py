@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from biplot import linalg
 from biplot.errors import InputError, NumericalError
-from biplot.linalg import (SvdResult, low_rank_approx, reconstruction, right_svd,
-                           sign_normalize, svd)
+from biplot.linalg import axis_signs, low_rank_approx, reconstruction, right_svd, svd
 
 
 def test_identity_singular_values():
@@ -37,28 +36,11 @@ def test_nonfinite_rejected():
         svd([[np.inf, 0.0], [0.0, 1.0]])
 
 
-def test_sign_normalize_flips_negative_pivot():
-    U = np.array([[1.0], [0.0]])
-    V = np.array([[-0.8], [0.6]])
-    out = sign_normalize(SvdResult(U, np.array([1.0]), V, 1))
-    assert np.allclose(out.V[:, 0], [0.8, -0.6])
-    assert np.allclose(out.U[:, 0], [-1.0, 0.0])
-
-
-def test_sign_normalize_keeps_canonical_column():
-    U = np.array([[1.0], [0.0]])
-    V = np.array([[0.6], [0.8]])
-    out = sign_normalize(SvdResult(U, np.array([1.0]), V, 1))
-    assert np.allclose(out.V[:, 0], [0.6, 0.8])
-    assert np.allclose(out.U[:, 0], [1.0, 0.0])
-
-
-def test_sign_normalize_tie_uses_first_index():
-    U = np.array([[1.0], [0.0]])
-    V = np.array([[0.5], [-0.5]])
-    out = sign_normalize(SvdResult(U, np.array([1.0]), V, 1))
-    # index 0 already nonnegative, nothing flips
-    assert np.allclose(out.V[:, 0], [0.5, -0.5])
+@pytest.mark.parametrize("column, sign", [([-0.8, 0.6], -1.0), ([0.6, 0.8], 1.0),
+                                          ([0.5, -0.5], 1.0)],
+                         ids=["negative_pivot", "canonical_column", "tie_uses_first_index"])
+def test_axis_signs(column, sign):
+    assert axis_signs(np.array([column]).T).tolist() == [sign]
 
 
 def _per_column_sign_rule(U, V):

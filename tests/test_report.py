@@ -100,8 +100,7 @@ def test_analyze_is_the_library_chain():
     t = load_case(3)
     m, q, rep = analyze(t, gamma=0.5, dims=3, scale="center")
     x, rec = preprocess(t, "center")
-    ref = sqrt_biplot(x, 3, row_labels=t.row_labels, col_labels=t.col_labels,
-                      preprocess_record=rec, name=t.name)
+    ref = sqrt_biplot(x, 3, row_labels=t.row_labels, col_labels=t.col_labels)
     ref_q = quality(ref, x)
     assert np.array_equal(m.row_markers, ref.row_markers)
     assert np.array_equal(m.col_markers, ref.col_markers)
@@ -202,6 +201,18 @@ def test_scatter_needs_one_label_per_point():
             render_scatter_svg(rows, ("a", "b"), "t", **bad)
     with pytest.raises(InputError, match="one label per point"):
         render_scatter_svg(rows, ("a",), "t")
+
+
+def test_scatter_needs_finite_nonempty_coordinates():
+    rows, cols = np.zeros((150, 2)), np.ones((2, 2))
+    rows[7, 1] = cols[1, 0] = np.nan
+    with pytest.raises(InputError, match="^coords contains a non-finite entry at row 7, column 1"):
+        render_scatter_svg(rows, tuple(map(str, range(150))), "t")
+    with pytest.raises(InputError, match="^col_coords contains a non-finite entry at row 1, col"):
+        render_scatter_svg(rows[:7], tuple("abcdefg"), "t", col_coords=cols,
+                           col_labels=("c", "d"))
+    with pytest.raises(InputError, match=r"^coords must be a non-empty 2-D array, got shape \(0,"):
+        render_scatter_svg(np.zeros((0, 2)), (), "t")
 
 
 # The row layer, written in blocks, against a per-row writer: one
