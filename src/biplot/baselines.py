@@ -85,6 +85,20 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
                         truncated=keep < dims)
 
 
+def ca_input(t) -> np.ndarray:
+    """The matrix of ``t``, a DataTable or a plain matrix, if its entries are
+    nonnegative, as correspondence analysis needs; else InputError naming
+    the first negative one."""
+    table = isinstance(t, DataTable)
+    X = t.values if table else linalg.as_matrix(t, "table")
+    if np.any(X < 0):
+        i, j = np.argwhere(X < 0)[0]
+        row, col = (t.row_labels[i], t.col_labels[j]) if table else (str(i), str(j))
+        raise InputError(f"correspondence analysis needs nonnegative entries; "
+                         f"found {X[i, j]} at row {row!r}, column {col!r}")
+    return X
+
+
 def correspondence_analysis(t, dims: int = 2) -> CaModel:
     """Correspondence analysis of a nonnegative table.
 
@@ -92,18 +106,7 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
     residuals of the correspondence matrix; the sum of squared singular
     values equals the chi-square statistic divided by the grand total.
     """
-    if isinstance(t, DataTable):
-        X = t.values
-        row_names, col_names = t.row_labels, t.col_labels
-    else:
-        X = linalg.as_matrix(t, "table")
-        row_names = tuple(str(i) for i in range(X.shape[0]))
-        col_names = tuple(str(j) for j in range(X.shape[1]))
-    if np.any(X < 0):
-        i, j = np.argwhere(X < 0)[0]
-        raise InputError(f"correspondence analysis needs nonnegative entries; "
-                         f"found {X[i, j]} at row {row_names[i]!r}, "
-                         f"column {col_names[j]!r}")
+    X = ca_input(t)
     total = float(X.sum())
     if total <= 0:
         raise InputError("table sums to zero")
@@ -116,7 +119,9 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
     if not 1 <= dims <= max_axes:
         raise InputError(f"dims must lie in [1, {max_axes}] for a "
                          f"{len(r)}x{len(c)} table, got {dims}")
-    S = (P - np.outer(r, c)) / np.sqrt(np.outer(r, c))
+    rc = np.outer(r, c)
+    S = P - rc
+    S /= np.sqrt(rc, out=rc)
     with linalg.one_blas_thread():
         sigma, V, _ = linalg.right_svd(S)
         # U_s diag(sigma_s) = S V_s

@@ -152,6 +152,11 @@ def _cmd_compare(args) -> int:
             raise InputError(f"unknown method {m!r}; choose from {', '.join(_PANELS)}")
         if methods.count(m) > 1:
             raise InputError(f"method {m!r} is named more than once in --methods")
+    if "ca" in methods and table.shape[1] < 3:  # refused before any work
+        baselines.ca_input(table)  # whose refusal comes first, as in the panel
+        raise InputError(f"the ca panel needs at least 3 columns for its two axes, and "
+                         f"{table.name!r} is {table.shape[0]}x{table.shape[1]}; "
+                         "leave it out with --methods jk,pca,mds")
     fit = functools.cache(lambda: report.analyze(table))
     # Every panel is built before any file is written.
     panels = [(m, *_PANELS[m](table, fit)) for m in methods]

@@ -13,6 +13,7 @@ import numpy as np
 import orjson
 
 from .errors import InputError
+from .linalg import column_sumsq
 
 MIN_ROWS = 3
 MIN_COLS = 2
@@ -253,14 +254,17 @@ def refuse_constant_column(t: DataTable, undefined: str) -> None:
     """Raise InputError naming the first column of ``t`` whose values are all
     equal, for which ``undefined`` (such as "zscore") is not defined. It reads
     the raw values: centering 80 cells of 0.1 leaves a sd of rounding, not 0."""
-    constant = np.flatnonzero((t.values == t.values[0]).all(axis=0))
+    constant = np.flatnonzero(t.values.max(axis=0) == t.values.min(axis=0))
     if constant.size:
         raise InputError(f"column {t.col_labels[constant[0]]!r} is constant; "
                          f"{undefined} undefined")
 
 
 def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, PreprocessRecord]:
-    """Column-wise preprocessing: none, center, or zscore (sample sd, n-1)."""
+    """Column-wise preprocessing: none, center, or zscore (sample sd, n-1).
+    The result is the one n x p matrix made: zscore divides the centered
+    copy in place, with the sds of ``x.std(axis=0, ddof=1)`` taken from its
+    column sums of squares by row blocks."""
     x = t.values
     ones = (1.0,) * x.shape[1]
     if mode == "none":
@@ -270,9 +274,10 @@ def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, Preproce
         return x - means, PreprocessRecord("center", tuple(means.tolist()), ones)
     if mode == "zscore":
         refuse_constant_column(t, "zscore")
-        sds = x.std(axis=0, ddof=1)
-        return (x - means) / sds, PreprocessRecord("zscore", tuple(means.tolist()),
-                                                   tuple(sds.tolist()))
+        z = x - means
+        sds = np.sqrt(column_sumsq(z) / (x.shape[0] - 1))
+        z /= sds
+        return z, PreprocessRecord("zscore", tuple(means.tolist()), tuple(sds.tolist()))
     raise InputError(f"unknown preprocessing mode {mode!r}")
 
 

@@ -136,8 +136,8 @@ def quality(model: BiplotModel, x) -> QualityReport:
     # sigma_k * u_ik recovered from the markers regardless of gamma
     row_coord = model.row_markers * s ** (1.0 - model.gamma)
     col_coord = model.col_markers * s ** model.gamma
-    sq = m * m
-    row_sq, col_sq = np.sum(sq, axis=1), np.sum(sq, axis=0)
+    row_sq = np.concatenate([np.sum(b * b, axis=1) for b in linalg.row_blocks(m)])
+    col_sq = linalg.column_sumsq(m)
     row_cap, col_cap = np.sum(row_coord ** 2, axis=1), np.sum(col_coord ** 2, axis=1)
     # Rounding lets a captured norm pass its norm by a fraction of the whole
     # matrix's (a row of norm 1e-17 may read 100); only that much is clipped.
@@ -182,12 +182,18 @@ def column_cosines(model: BiplotModel) -> np.ndarray:
 
 
 def row_distances(model: BiplotModel) -> np.ndarray:
-    """Euclidean distances between row markers."""
+    """Euclidean distances between row markers, from their Gram matrix:
+    ``|a_i|^2 + |a_j|^2 - 2 a_i.a_j``, clipped at 0 against rounding, with a
+    zero diagonal; n x n, without an n x n x s difference tensor."""
     A = model.row_markers
-    diff = A[:, None, :] - A[None, :, :]
-    d = np.sqrt(np.sum(diff ** 2, axis=2))
+    sq = np.sum(A * A, axis=1)
+    d = A @ A.T
+    d *= -2.0
+    d += sq[:, None]
+    d += sq
+    np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
-    return d
+    return np.sqrt(d, out=d)
 
 
 def pca_scores(x, dims: int = 2) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Dense-matrix primitives: SVD with a deterministic sign convention,
 the U-free factorization the analyses use, truncation, best rank-s
-approximation and the pin of OpenBLAS to one thread."""
+approximation, the passes over a tall matrix in row blocks and the pin
+of OpenBLAS to one thread."""
 
 from __future__ import annotations
 
@@ -17,6 +18,9 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 RANK_TOL_FACTOR = 1e-12
+# Cells in a row block of the blocked passes (512 KB of float64): a block's
+# temporaries stay small beside a tall matrix, which is never copied whole.
+BLOCK_CELLS = 1 << 16
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -24,7 +28,8 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     m = np.asarray(values, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise InputError(f"{name} must be a non-empty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # min and max are NaN or infinite iff some entry is, with no n x p mask
+    if not (np.isfinite(m.min()) and np.isfinite(m.max())):
         bad = np.argwhere(~np.isfinite(m))[0]
         raise InputError(f"{name} contains a non-finite entry at row {bad[0]}, column {bad[1]}")
     return m
@@ -70,18 +75,60 @@ def svd(values) -> SvdResult:
 
 def right_svd(values) -> tuple[np.ndarray, np.ndarray, int]:
     """``(sigma, V, rank)`` of a dense real matrix X, as ``svd`` gives them,
-    without forming U: the SVD of the triangular factor R of X = QR, which
-    has X's singular values and right singular vectors (Chan's R-SVD).
+    without forming U: the SVD of the triangular factor R of X = QR (from
+    ``r_factor``), which has X's singular values and right singular vectors
+    (Chan's R-SVD).
 
     Raises InputError on non-finite input and NumericalError if the
     underlying solver fails to converge.
     """
     m = as_matrix(values)
     try:
-        _, s, Vt = np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=False)
+        _, s, Vt = np.linalg.svd(r_factor(m), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     return s, np.multiply(Vt.T, axis_signs(Vt.T), order="C"), _rank(s, m.shape)
+
+
+def row_blocks(m: np.ndarray, min_rows: int = 1):
+    """``m``'s rows in order as views of ``BLOCK_CELLS`` cells, or of
+    ``min_rows`` rows if that is more; the last block may be shorter."""
+    rows = max(min_rows, BLOCK_CELLS // m.shape[1])
+    return (m[i:i + rows] for i in range(0, m.shape[0], rows))
+
+
+def column_sumsq(m: np.ndarray) -> np.ndarray:
+    """``np.sum(m * m, axis=0)`` to the bit, one row block at a time: numpy
+    adds the rows of a row-major matrix one after another, and so does this,
+    each block's squares after the running sums. numpy sums a column-major
+    matrix (or a single column) pairwise down each column, which blocks
+    cannot follow, so that one is squared whole."""
+    if abs(m.strides[0]) <= abs(m.strides[1]):
+        return np.sum(m * m, axis=0)
+    # One buffer serves every block: a new one per block is 4x slower (page faults).
+    sums, buf = np.zeros(m.shape[1]), None
+    for b in row_blocks(m):
+        if buf is None:
+            buf = np.empty((len(b) + 1, m.shape[1]))
+        k = len(b) + 1
+        buf[0] = sums
+        np.multiply(b, b, out=buf[1:k])
+        sums = np.add.reduce(buf[:k], axis=0)
+    return sums
+
+
+def r_factor(m: np.ndarray) -> np.ndarray:
+    """The triangular factor R of ``m = QR``, up to the signs of its rows,
+    taken over row blocks of at least 8p rows: each step factors the last R
+    stacked on the next block (the sequential tall-skinny QR of Demmel,
+    Grigori, Hoemmen and Langou 2012), so only a block is ever copied and
+    the stacked rows add at most 1/8 to the work. A matrix of one block
+    gets exactly ``np.linalg.qr(m, mode="r")``."""
+    blocks = row_blocks(m, 8 * m.shape[1])
+    r = np.linalg.qr(next(blocks), mode="r")
+    for b in blocks:
+        r = np.linalg.qr(np.concatenate((r, b)), mode="r")
+    return r
 
 
 def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:

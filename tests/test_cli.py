@@ -186,6 +186,18 @@ def test_compare_ca_on_negative_table_exits_2(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_compare_two_columns_refuses_the_ca_panel_before_any_work(tmp_path, capsys):
+    path, out = tmp_path / "two.csv", tmp_path / "panels"
+    path.write_text(",a,b\nr1,1,2\nr2,3,1\nr3,5,6\nr4,2,2\n", encoding="utf-8")
+    with mock.patch.object(report, "analyze", side_effect=AssertionError("fitted")):
+        assert main(["compare", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ca panel" in err and "4x2" in err and "3 columns" in err
+    assert "--methods jk,pca,mds" in err and not out.exists()
+    assert main(["compare", str(path), "--methods", "jk,pca,mds", "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 7
+
+
 def _compare_docs(tmp_path, csv_path, methods):
     out = tmp_path / "panels"
     assert main(["compare", str(csv_path), "--methods", methods, "--out", str(out)]) == 0
@@ -239,13 +251,15 @@ def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
     tall = _seeded_csv(tmp_path / "tall.csv", 3000, 40, 1)
     wide = _seeded_csv(tmp_path / "wide.csv", 300, 100, 1)
     blocks = _seeded_csv(tmp_path / "blocks.csv", 300, 64, 1)  # the widest with p x p blocks
+    r_blocks = _seeded_csv(tmp_path / "r_blocks.csv", 10000, 20, 1)  # 4 row blocks of R
     panels = _seeded_csv(tmp_path / "panels.csv", 1500, 30, 1, positive=True)
     src = str(Path(biplot.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for argv in (["analyze", str(tall), "--json", "r.json", "--svg", "p.svg"],
                  ["analyze", str(wide), "--json", "r.json", "--svg", "p.svg"],
                  ["compare", str(panels), "--methods", "jk,pca,mds,ca"],
-                 ["analyze", str(blocks), "--json", "r.json", "--svg", "p.svg"]):
+                 ["analyze", str(blocks), "--json", "r.json", "--svg", "p.svg"],
+                 ["analyze", str(r_blocks), "--json", "r.json", "--svg", "p.svg"]):
         artifacts = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)

@@ -245,6 +245,15 @@ def test_row_distances_duplicate_row():
     assert np.allclose(np.diag(d), 0.0)
 
 
+def test_row_distances_equal_the_broadcast_distances():
+    A = np.random.default_rng(5).normal(size=(200, 3)) * [3.0, 1.0, 0.2]
+    m = jk(A - A.mean(axis=0), 3)
+    B = m.row_markers
+    broadcast = np.sum((B[:, None, :] - B[None, :, :]) ** 2, axis=2)
+    largest = np.max(np.sum(B * B, axis=1))
+    assert np.max(np.abs(row_distances(m) ** 2 - broadcast)) <= 1e-12 * largest
+
+
 def test_jk_full_rank_distances_equal_raw_distances():
     t, x, _ = case_matrix(3)
     m = jk(x, svd(x).rank)

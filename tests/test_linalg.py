@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biplot import linalg
+from biplot.data import DataTable, preprocess
 from biplot.errors import InputError, NumericalError
 from biplot.linalg import axis_signs, low_rank_approx, reconstruction, right_svd, svd
 
@@ -167,6 +168,34 @@ def test_right_svd_is_svd_without_u(shape):
     assert rank == ref.rank and V.shape == ref.V.shape and V.flags.c_contiguous
     assert np.max(np.abs(sigma - ref.sigma)) <= 1e-12 * ref.sigma[0]
     assert np.max(np.abs(V[:, :rank] - ref.V[:, :rank])) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 70), crossed=st.integers(0, 3), frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_block_passes_equal_the_whole_matrix_passes(p, crossed, frac, seed):
+    """Tables in one row block and tables across 1, 2 and 3 block boundaries:
+    the blocked sums of squares and z-score are numpy's bits, a one-block R is
+    ``np.linalg.qr``'s, and a blocked R gives ``svd``'s sigma and signed V."""
+    rows = linalg.BLOCK_CELLS // p  # of every blocked pass, as 8p rows are fewer
+    n = max(3, crossed * rows + 1 + int(frac * (rows - 1)))
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, p)) * 1.05 ** -np.arange(p) + rng.uniform(-3.0, 3.0, p)
+    assert np.array_equal(linalg.column_sumsq(m), np.sum(m * m, axis=0))
+    if p >= 2:
+        t = DataTable("t", tuple(map(str, range(n))), tuple(map(str, range(p))), m)
+        z, record = preprocess(t, "zscore")
+        sds = m.std(axis=0, ddof=1)
+        assert np.array_equal(z, (m - m.mean(axis=0)) / sds)
+        assert record.sds == tuple(sds.tolist())
+    if n <= rows:
+        assert np.array_equal(linalg.r_factor(m), np.linalg.qr(m, mode="r"))
+    else:
+        sigma, V, rank = right_svd(m)
+        ref = svd(m)
+        assert rank == ref.rank == p
+        assert np.max(np.abs(sigma - ref.sigma)) <= 1e-12 * ref.sigma[0]
+        assert np.max(np.abs(V - ref.V)) <= 1e-10
 
 
 def test_right_svd_failure_is_a_numerical_error(monkeypatch):

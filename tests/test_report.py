@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,3 +348,20 @@ def test_dumps_layout():
     assert dumps(doc) == ('{\n  "": 0.00001,\n  "a": {\n    "y": {},\n    "z": [],\n'
                           '    "é": "ü"\n  },\n  "b": [\n    1.5,\n    null,\n    1e16\n'
                           '  ]\n}\n')
+
+
+def test_analyze_holds_one_matrix_beside_the_table():
+    """numpy reports its buffers to tracemalloc (LAPACK's own copies it does
+    not see): beyond the table, analyze holds the z-scored copy, row blocks
+    and n x dims arrays, under 2x the table's bytes in all."""
+    n, p = 40000, 20
+    t = DataTable("tall", tuple(f"r{i}" for i in range(n)), tuple(f"c{j}" for j in range(p)),
+                  np.random.default_rng(0).normal(size=(n, p)))
+    analyze(t)  # warm-up: first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        analyze(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * t.values.nbytes
