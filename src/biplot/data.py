@@ -13,7 +13,6 @@ import numpy as np
 import orjson
 
 from .errors import InputError
-from .linalg import column_sumsq
 
 MIN_ROWS = 3
 MIN_COLS = 2
@@ -21,7 +20,7 @@ MIN_COLS = 2
 
 @dataclass(frozen=True)
 class DataTable:
-    """Labeled n x p real matrix; rows are cases, columns are variables."""
+    """Labeled n x p real matrix, held row-major; rows are cases, columns are variables."""
 
     name: str
     row_labels: tuple[str, ...]
@@ -37,7 +36,7 @@ class DataTable:
             raise InputError(f"table {self.name!r} has duplicate row labels")
         if len(set(self.col_labels)) != p:
             raise InputError(f"table {self.name!r} has duplicate column labels")
-        v = np.asarray(self.values, dtype=float)
+        v = np.ascontiguousarray(self.values, dtype=float)
         if v.shape != (n, p):
             raise InputError(f"table {self.name!r} values must be {n}x{p}, got {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -250,21 +249,30 @@ def serialize_table(t: DataTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def refuse_constant_column(t: DataTable, undefined: str) -> None:
+def refuse_unusable_column(t: DataTable, undefined: str) -> None:
     """Raise InputError naming the first column of ``t`` whose values are all
-    equal, for which ``undefined`` (such as "zscore") is not defined. It reads
-    the raw values: centering 80 cells of 0.1 leaves a sd of rounding, not 0."""
-    constant = np.flatnonzero(t.values.max(axis=0) == t.values.min(axis=0))
+    equal, for which ``undefined`` (such as "zscore") is not defined, else the
+    first with a magnitude above ``sqrt(max float / (4 n p))``, below which no
+    sum of squares of the table, its centered copy or their Gram matrices
+    overflows. It reads the raw values: centering 80 cells of 0.1 leaves a sd
+    of rounding, not 0."""
+    hi, lo = t.values.max(axis=0), t.values.min(axis=0)
+    constant = np.flatnonzero(hi == lo)
     if constant.size:
         raise InputError(f"column {t.col_labels[constant[0]]!r} is constant; "
                          f"{undefined} undefined")
+    size, bound = np.maximum(hi, -lo), np.sqrt(np.finfo(float).max / (4 * t.values.size))
+    j = int(np.argmax(size > bound))
+    if size[j] > bound:
+        raise InputError(f"column {t.col_labels[j]!r} holds a value of magnitude {size[j]:.3g}, "
+                         f"above {bound:.3g}, where its sums of squares would overflow")
 
 
 def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, PreprocessRecord]:
     """Column-wise preprocessing: none, center, or zscore (sample sd, n-1).
     The result is the one n x p matrix made: zscore divides the centered
-    copy in place, with the sds of ``x.std(axis=0, ddof=1)`` taken from its
-    column sums of squares by row blocks."""
+    copy in place by sds from ``np.einsum``'s column sums of squares, the
+    bits of ``x.std(axis=0, ddof=1)`` on the row-major table."""
     x = t.values
     ones = (1.0,) * x.shape[1]
     if mode == "none":
@@ -273,9 +281,9 @@ def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, Preproce
     if mode == "center":
         return x - means, PreprocessRecord("center", tuple(means.tolist()), ones)
     if mode == "zscore":
-        refuse_constant_column(t, "zscore")
+        refuse_unusable_column(t, "zscore")
         z = x - means
-        sds = np.sqrt(column_sumsq(z) / (x.shape[0] - 1))
+        sds = np.sqrt(np.einsum("ij,ij->j", z, z) / (x.shape[0] - 1))
         z /= sds
         return z, PreprocessRecord("zscore", tuple(means.tolist()), tuple(sds.tolist()))
     raise InputError(f"unknown preprocessing mode {mode!r}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import DataTable, refuse_constant_column
+from .data import DataTable, refuse_unusable_column
 from .errors import InputError, NumericalError
 
 
@@ -136,8 +136,7 @@ def quality(model: BiplotModel, x) -> QualityReport:
     # sigma_k * u_ik recovered from the markers regardless of gamma
     row_coord = model.row_markers * s ** (1.0 - model.gamma)
     col_coord = model.col_markers * s ** model.gamma
-    row_sq = np.concatenate([np.sum(b * b, axis=1) for b in linalg.row_blocks(m)])
-    col_sq = linalg.column_sumsq(m)
+    row_sq, col_sq = np.einsum("ij,ij->i", m, m), np.einsum("ij,ij->j", m, m)
     row_cap, col_cap = np.sum(row_coord ** 2, axis=1), np.sum(col_coord ** 2, axis=1)
     # Rounding lets a captured norm pass its norm by a fraction of the whole
     # matrix's (a row of norm 1e-17 may read 100); only that much is clipped.
@@ -232,7 +231,7 @@ def column_correlations(x: np.ndarray, col_labels: tuple[str, ...]) -> np.ndarra
 
 def pearson(t: DataTable) -> np.ndarray:
     """Sample Pearson correlation matrix of a table's columns."""
-    refuse_constant_column(t, "correlation")
+    refuse_unusable_column(t, "correlation")
     C = np.corrcoef(t.values, rowvar=False)
     C = np.clip(C, -1.0, 1.0)
     np.fill_diagonal(C, 1.0)

@@ -1,7 +1,7 @@
 """Dense-matrix primitives: SVD with a deterministic sign convention,
 the U-free factorization the analyses use, truncation, best rank-s
-approximation, the passes over a tall matrix in row blocks and the pin
-of OpenBLAS to one thread."""
+approximation, the triangular factor of a tall matrix over row blocks and
+the pin of OpenBLAS to one thread."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 RANK_TOL_FACTOR = 1e-12
-# Cells in a row block of the blocked passes (512 KB of float64): a block's
-# temporaries stay small beside a tall matrix, which is never copied whole.
+# Cells in a row block of r_factor, the one blocked pass (512 KB of float64):
+# its copies stay small beside a tall matrix, which np.linalg.qr copies whole.
 BLOCK_CELLS = 1 << 16
 
 
@@ -90,33 +90,6 @@ def right_svd(values) -> tuple[np.ndarray, np.ndarray, int]:
     return s, np.multiply(Vt.T, axis_signs(Vt.T), order="C"), _rank(s, m.shape)
 
 
-def row_blocks(m: np.ndarray, min_rows: int = 1):
-    """``m``'s rows in order as views of ``BLOCK_CELLS`` cells, or of
-    ``min_rows`` rows if that is more; the last block may be shorter."""
-    rows = max(min_rows, BLOCK_CELLS // m.shape[1])
-    return (m[i:i + rows] for i in range(0, m.shape[0], rows))
-
-
-def column_sumsq(m: np.ndarray) -> np.ndarray:
-    """``np.sum(m * m, axis=0)`` to the bit, one row block at a time: numpy
-    adds the rows of a row-major matrix one after another, and so does this,
-    each block's squares after the running sums. numpy sums a column-major
-    matrix (or a single column) pairwise down each column, which blocks
-    cannot follow, so that one is squared whole."""
-    if abs(m.strides[0]) <= abs(m.strides[1]):
-        return np.sum(m * m, axis=0)
-    # One buffer serves every block: a new one per block is 4x slower (page faults).
-    sums, buf = np.zeros(m.shape[1]), None
-    for b in row_blocks(m):
-        if buf is None:
-            buf = np.empty((len(b) + 1, m.shape[1]))
-        k = len(b) + 1
-        buf[0] = sums
-        np.multiply(b, b, out=buf[1:k])
-        sums = np.add.reduce(buf[:k], axis=0)
-    return sums
-
-
 def r_factor(m: np.ndarray) -> np.ndarray:
     """The triangular factor R of ``m = QR``, up to the signs of its rows,
     taken over row blocks of at least 8p rows: each step factors the last R
@@ -124,10 +97,10 @@ def r_factor(m: np.ndarray) -> np.ndarray:
     Grigori, Hoemmen and Langou 2012), so only a block is ever copied and
     the stacked rows add at most 1/8 to the work. A matrix of one block
     gets exactly ``np.linalg.qr(m, mode="r")``."""
-    blocks = row_blocks(m, 8 * m.shape[1])
-    r = np.linalg.qr(next(blocks), mode="r")
-    for b in blocks:
-        r = np.linalg.qr(np.concatenate((r, b)), mode="r")
+    rows = max(8 * m.shape[1], BLOCK_CELLS // m.shape[1])
+    r = np.linalg.qr(m[:rows], mode="r")
+    for i in range(rows, m.shape[0], rows):
+        r = np.linalg.qr(np.concatenate((r, m[i:i + rows])), mode="r")
     return r
 
 

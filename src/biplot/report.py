@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .data import DataTable, preprocess, refuse_constant_column
+from .data import DataTable, preprocess, refuse_unusable_column
 from .engine import (GAMMA_BY_TYPE, BiplotModel, QualityReport, column_correlations,
                      column_cosines, fit_biplot, quality)
 from .errors import InputError
@@ -73,7 +73,7 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
     biplot, judge its quality of representation and assemble the report.
     OpenBLAS runs on one thread throughout, so the results are the same
     bits at any thread count."""
-    refuse_constant_column(table, "correlation")  # at every width, before any work
+    refuse_unusable_column(table, "correlation")  # at every width, before any work
     with one_blas_thread():
         x, record = preprocess(table, scale)
         model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,

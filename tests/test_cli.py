@@ -393,7 +393,7 @@ def test_unwritable_artifact_path_exits_2(tmp_path, case1_csv, capsys, command):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["case1.csv", "file.txt"]
 
 
-@pytest.mark.parametrize("fault", ["ragged", "nonfinite", "constant", "dims", "gamma",
+@pytest.mark.parametrize("fault", ["ragged", "nonfinite", "constant", "huge", "dims", "gamma",
                                    "unwritable", "no_convergence"])
 @settings(max_examples=15, deadline=None)
 @given(command=st.sampled_from(["analyze", "compare"]),
@@ -420,6 +420,10 @@ def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, s
         for row in rows:
             row[j] = value
         says = f"column 'c{j}' is constant; "
+    elif fault == "huge":  # finite, but its squares overflow
+        for row in rows:
+            row[j] = repr(float(row[j]) * 1e200)
+        says = f"column 'c{j}' "
     elif fault == "dims":
         command, says = "analyze", "dims must lie in [1, rank="
         options = ["--dims", str(data.draw(st.integers(min(n, p) + 1, min(n, p) + 3)))]
@@ -453,6 +457,7 @@ def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, s
             assert main(argv) == code
         assert err.getvalue().startswith("error: " if code == 2 else "numerical failure: ")
         assert says in err.getvalue() and "Traceback" not in err.getvalue()
+        assert fault != "huge" or "constant" not in err.getvalue()
         assert sorted(f.name for f in tmp.rglob("*") if f.is_file()) == ["file.txt", "t.csv"]
 
 

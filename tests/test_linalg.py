@@ -173,21 +173,24 @@ def test_right_svd_is_svd_without_u(shape):
 @settings(max_examples=30, deadline=None)
 @given(p=st.integers(1, 70), crossed=st.integers(0, 3), frac=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_row_block_passes_equal_the_whole_matrix_passes(p, crossed, frac, seed):
-    """Tables in one row block and tables across 1, 2 and 3 block boundaries:
-    the blocked sums of squares and z-score are numpy's bits, a one-block R is
+def test_zscore_at_any_layout_and_row_block_r_factor_equal_numpy(p, crossed, frac, seed):
+    """Tables in one row block of ``r_factor`` and tables across 1, 2 and 3
+    block boundaries: the z-score and its sds are ``x.std``'s bits whether the
+    values come row-major, column-major or strided, a one-block R is
     ``np.linalg.qr``'s, and a blocked R gives ``svd``'s sigma and signed V."""
-    rows = linalg.BLOCK_CELLS // p  # of every blocked pass, as 8p rows are fewer
+    rows = linalg.BLOCK_CELLS // p  # of r_factor, as 8p rows are fewer
     n = max(3, crossed * rows + 1 + int(frac * (rows - 1)))
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, p)) * 1.05 ** -np.arange(p) + rng.uniform(-3.0, 3.0, p)
-    assert np.array_equal(linalg.column_sumsq(m), np.sum(m * m, axis=0))
     if p >= 2:
-        t = DataTable("t", tuple(map(str, range(n))), tuple(map(str, range(p))), m)
-        z, record = preprocess(t, "zscore")
         sds = m.std(axis=0, ddof=1)
-        assert np.array_equal(z, (m - m.mean(axis=0)) / sds)
-        assert record.sds == tuple(sds.tolist())
+        gaps = np.zeros((2 * n, p), order="F")  # every other row of a column-major buffer
+        gaps[::2] = m
+        for values in (m, np.asfortranarray(m), gaps[::2]):
+            t = DataTable("t", tuple(map(str, range(n))), tuple(map(str, range(p))), values)
+            z, record = preprocess(t, "zscore")
+            assert np.array_equal(z, (m - m.mean(axis=0)) / sds)
+            assert record.sds == tuple(sds.tolist())
     if n <= rows:
         assert np.array_equal(linalg.r_factor(m), np.linalg.qr(m, mode="r"))
     else:
