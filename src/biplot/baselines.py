@@ -85,18 +85,28 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
                         truncated=keep < dims)
 
 
-def ca_input(t) -> np.ndarray:
-    """The matrix of ``t``, a DataTable or a plain matrix, if its entries are
-    nonnegative, as correspondence analysis needs; else InputError naming
-    the first negative one."""
+def ca_input(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P, the correspondence matrix of ``t`` (a DataTable or plain matrix), and
+    its masses r and c; InputError names the first negative entry, else the
+    largest if the total is 0 or could overflow (above ``max float / (n p)``),
+    else the least row or column mass if ``min(r) min(c) < min normal float``."""
     table = isinstance(t, DataTable)
     X = t.values if table else linalg.as_matrix(t, "table")
-    if np.any(X < 0):
-        i, j = np.argwhere(X < 0)[0]
-        row, col = (t.row_labels[i], t.col_labels[j]) if table else (str(i), str(j))
-        raise InputError(f"correspondence analysis needs nonnegative entries; "
-                         f"found {X[i, j]} at row {row!r}, column {col!r}")
-    return X
+    rows, cols = (t.row_labels, t.col_labels) if table else map(range, X.shape)
+    neg, top = np.argwhere(X < 0), np.finfo(float).max / X.size
+    i, j = neg[0] if neg.size else np.unravel_index(np.argmax(X), X.shape)
+    if neg.size or not 0 < X[i, j] <= top:
+        raise InputError(f"correspondence analysis needs nonnegative entries, not all 0, of at "
+                         f"most {top:.3g} for a finite total; {X[i, j]} at row {str(rows[i])!r}, "
+                         f"column {str(cols[j])!r} is {'negative' if neg.size else 'the largest'}")
+    P = X / float(X.sum())
+    r, c = P.sum(axis=1), P.sum(axis=0)
+    i, j = np.argmin(r), np.argmin(c)
+    if r[i] * c[j] < np.finfo(float).tiny:
+        kind, label, mass = ("row", rows[i], r[i]) if r[i] <= c[j] else ("column", cols[j], c[j])
+        raise InputError(f"correspondence analysis needs no all-zero row or column, nor masses "
+                         f"whose product underflows; {kind} {str(label)!r} has mass {mass:.3g}")
+    return P, r, c
 
 
 def correspondence_analysis(t, dims: int = 2) -> CaModel:
@@ -106,15 +116,7 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
     residuals of the correspondence matrix; the sum of squared singular
     values equals the chi-square statistic divided by the grand total.
     """
-    X = ca_input(t)
-    total = float(X.sum())
-    if total <= 0:
-        raise InputError("table sums to zero")
-    P = X / total
-    r = P.sum(axis=1)
-    c = P.sum(axis=0)
-    if np.any(r == 0) or np.any(c == 0):
-        raise InputError("correspondence analysis needs no all-zero row or column")
+    P, r, c = ca_input(t)
     max_axes = min(len(r), len(c)) - 1
     if not 1 <= dims <= max_axes:
         raise InputError(f"dims must lie in [1, {max_axes}] for a "

@@ -252,10 +252,11 @@ def serialize_table(t: DataTable) -> str:
 def refuse_unusable_column(t: DataTable, undefined: str) -> None:
     """Raise InputError naming the first column of ``t`` whose values are all
     equal, for which ``undefined`` (such as "zscore") is not defined, else the
-    first with a magnitude above ``sqrt(max float / (4 n p))``, below which no
-    sum of squares of the table, its centered copy or their Gram matrices
-    overflows. It reads the raw values: centering 80 cells of 0.1 leaves a sd
-    of rounding, not 0."""
+    first with a magnitude above ``sqrt(max float / (4 n p))``, where sums of
+    squares of the table, its centered copy or their Gram matrices overflow,
+    else with a spread below ``2 sqrt(min normal float)``, where its centered
+    sums of squares underflow. It reads the raw values: centering 80 cells of
+    0.1 leaves a sd of rounding, not 0."""
     hi, lo = t.values.max(axis=0), t.values.min(axis=0)
     constant = np.flatnonzero(hi == lo)
     if constant.size:
@@ -266,6 +267,11 @@ def refuse_unusable_column(t: DataTable, undefined: str) -> None:
     if size[j] > bound:
         raise InputError(f"column {t.col_labels[j]!r} holds a value of magnitude {size[j]:.3g}, "
                          f"above {bound:.3g}, where its sums of squares would overflow")
+    spread, floor = hi - lo, 2 * np.sqrt(np.finfo(float).tiny)  # no overflow below the bound
+    j = int(np.argmax(spread < floor))
+    if spread[j] < floor:
+        raise InputError(f"column {t.col_labels[j]!r} spans only {spread[j]:.3g}, below "
+                         f"{floor:.3g}, where its centered sums of squares would underflow")
 
 
 def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, PreprocessRecord]:

@@ -75,10 +75,10 @@ def fit_biplot(x, gamma: float, dims: int = 2,
 
     The engine never re-centers; pass the output of ``data.preprocess``.
     """
-    m = linalg.as_matrix(x)
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must lie in [0, 1], got {gamma}")
-    sigma, V, rank = linalg.right_svd(m)
+    m = np.asarray(x, dtype=float)
+    sigma, V, rank = linalg.right_svd(m)  # refuses m by linalg.as_matrix
     if not 1 <= dims <= rank:
         raise InputError(f"dims must lie in [1, rank={rank}], got {dims}")
     # sigma > 0 on the retained axes, as dims <= rank

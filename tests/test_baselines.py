@@ -125,6 +125,18 @@ def test_ca_rejects_negative_and_zero_margins():
         correspondence_analysis(np.array([[1.0, -1.0], [1.0, 1.0]]), 1)
     with pytest.raises(InputError, match="all-zero"):
         correspondence_analysis(np.array([[1.0, 0.0], [1.0, 0.0]]), 1)
+    # The total is 0 or could overflow: the largest entry is named.
+    with pytest.raises(InputError, match="nonnegative.*0.0 at row '0', column '0' is the largest"):
+        correspondence_analysis(np.zeros((3, 3)), 2)
+    big = [[1e308, 1e307, 1e307], [1e307, 1e308, 1e307], [1e307, 1e307, 1e308],
+           [1e308, 1e308, 1e307]]
+    with pytest.raises(InputError, match="1e\\+308 at row '0', column '0' is the largest"):
+        correspondence_analysis(np.array(big), 2)
+    # A mass so small that its product with another underflows: the least is named.
+    with pytest.raises(InputError, match="all-zero.*row '1' has mass 4e-300"):
+        correspondence_analysis(np.array([[1e300, 1, 1], [1, 1, 2], [1, 2, 1], [2, 1, 1]]), 2)
+    with pytest.raises(InputError, match="all-zero.*column '0' has mass 4.29e-321"):
+        correspondence_analysis(np.array([[1e-320, 1, 2], [2e-320, 3, 1], [3e-320, 2, 5]]), 2)
 
 
 def test_pca_map_scores_uncorrelated():

@@ -393,8 +393,9 @@ def test_unwritable_artifact_path_exits_2(tmp_path, case1_csv, capsys, command):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["case1.csv", "file.txt"]
 
 
-@pytest.mark.parametrize("fault", ["ragged", "nonfinite", "constant", "huge", "dims", "gamma",
-                                   "unwritable", "no_convergence"])
+@pytest.mark.parametrize("fault", ["ragged", "nonfinite", "constant", "huge", "tiny", "ca_total",
+                                   "ca_row_mass", "ca_col_mass", "dims", "gamma", "unwritable",
+                                   "no_convergence"])
 @settings(max_examples=15, deadline=None)
 @given(command=st.sampled_from(["analyze", "compare"]),
        scale=st.sampled_from(["zscore", "center", "none"]), n=st.integers(3, 8),
@@ -424,6 +425,19 @@ def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, s
         for row in rows:
             row[j] = repr(float(row[j]) * 1e200)
         says = f"column 'c{j}' "
+    elif fault == "tiny":  # finite and distinct, but its centered squares underflow
+        for row in rows:
+            row[j] = repr(float(row[j]) * 1e-200)
+        says = f"column 'c{j}' "
+    elif fault.startswith("ca_"):  # the CA's total overflows, or two of its masses underflow
+        command, options, p = "compare", ["--methods", "ca"], 3
+        cells, says = {
+            "ca_total": ("1e308,1e307,1e307 1e307,1e308,1e307 1e307,1e307,1e308 1e308,1e308,1e307",
+                         "1e+308 at row 'r0', column 'c0' is the largest"),
+            "ca_row_mass": ("1e300,1,1 1,1,2 1,2,1 2,1,1", "row 'r1' has mass "),
+            "ca_col_mass": ("1e-320,1,2 2e-320,3,1 3e-320,2,5", "column 'c0' has mass "),
+        }[fault]
+        rows = [line.split(",") for line in cells.split()]
     elif fault == "dims":
         command, says = "analyze", "dims must lie in [1, rank="
         options = ["--dims", str(data.draw(st.integers(min(n, p) + 1, min(n, p) + 3)))]
@@ -448,7 +462,8 @@ def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, s
             for flag, name in (("--json", "r.json"), ("--svg", "p.svg")):
                 argv += [flag, str((blocker if flag == unwritable else tmp) / name)]
         else:
-            argv = ["compare", str(table), "--out", str((blocker if unwritable else tmp) / "out")]
+            argv = ["compare", str(table), *options,
+                    "--out", str((blocker if unwritable else tmp) / "out")]
         err = io.StringIO()
         solver = (mock.patch.object(np.linalg, "svd",
                                     side_effect=np.linalg.LinAlgError("SVD did not converge"))
@@ -457,7 +472,8 @@ def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, s
             assert main(argv) == code
         assert err.getvalue().startswith("error: " if code == 2 else "numerical failure: ")
         assert says in err.getvalue() and "Traceback" not in err.getvalue()
-        assert fault != "huge" or "constant" not in err.getvalue()
+        if fault in ("huge", "tiny"):
+            assert "constant" not in err.getvalue() and "non-finite" not in err.getvalue()
         assert sorted(f.name for f in tmp.rglob("*") if f.is_file()) == ["file.txt", "t.csv"]
 
 

@@ -36,6 +36,18 @@ def test_gamma_bounds_and_dims_checked():
         fit_biplot(x, gamma=0.5, dims=3)
 
 
+@pytest.mark.parametrize("x, says", [
+    ([[1.0, 2.0], [np.nan, 1.0], [3.0, 0.5]], "contains a non-finite entry at row 1, column 0"),
+    ([[1.0, 2.0], [2.0, 1.0], [3.0, np.inf]], "contains a non-finite entry at row 2, column 1"),
+    ([1.0, 2.0, 3.0], "must be a non-empty 2-D array, got shape (3,)"),
+    (np.empty((0, 2)), "must be a non-empty 2-D array, got shape (0, 2)"),
+], ids=["nan", "inf", "1-d", "empty"])
+def test_fit_biplot_rejects_unusable_matrices(x, says):
+    with pytest.raises(InputError) as exc:
+        fit_biplot(x, gamma=1.0, dims=1)
+    assert str(exc.value) == f"matrix {says}"
+
+
 def test_marker_orthonormality_by_gamma():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 5))
