@@ -50,7 +50,8 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
     Double-centers -D^2/2, takes the top eigenpairs and scales the
     eigenvectors by the square roots of their (positive) eigenvalues. If
     fewer than ``dims`` positive eigenvalues exist the embedding has the
-    achievable dimension and is flagged ``truncated``.
+    achievable dimension and is flagged ``truncated``. The largest distance
+    must be 0 or lie in ``[2 sqrt(min normal float), sqrt(max float / (4 n^2))]``.
     """
     D = linalg.as_matrix(d, "distance matrix")
     n, m = D.shape
@@ -64,6 +65,11 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
         raise InputError("distances must be nonnegative")
     if dims < 1:
         raise InputError(f"dims must be positive, got {dims}")
+    i, j = np.unravel_index(np.argmax(D), D.shape)
+    lo, hi = 2 * np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max / (4 * D.size))
+    if not (D[i, j] == 0 or lo <= D[i, j] <= hi):
+        raise InputError(f"the largest distance, {D[i, j]:.3g} at row {i}, column {j}, is neither "
+                         f"0 nor in [{lo:.3g}, {hi:.3g}], where squares stay normal, sums finite")
     # double centering -H D^2 H / 2 from row, column and grand means
     D2 = D ** 2
     B = -0.5 * (D2 - D2.mean(axis=1, keepdims=True) - D2.mean(axis=0, keepdims=True)
@@ -71,7 +77,7 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
     evals, evecs = np.linalg.eigh(B)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    tol = max(1.0, float(abs(evals[0]))) * n * 1e-12
+    tol = float(abs(evals[0])) * n * 1e-12  # relative: the rule holds at every scale
     n_pos = int(np.count_nonzero(evals > tol))
     keep = min(dims, n_pos)
     if keep == 0:

@@ -52,12 +52,12 @@ def _write_all(artifacts) -> None:
 
 
 def _analyze(table: DataTable, args, gamma: float, dims: int, scale: str) -> int:
-    """Run the pipeline on ``table``, write the ``--json`` report and stream
-    the ``--svg`` plot to their files, and print the overall fit."""
-    model, qual, rep = report.analyze(table, gamma, dims, scale)
+    """Run the pipeline on ``table``, just parsed and handed over, stream the ``--json``
+    report and the ``--svg`` plot to their files, and print the overall fit."""
+    model, qual, rep = report.analyze(table, gamma, dims, scale, overwrite_table=True)
     artifacts = []
     if args.json:
-        artifacts.append((args.json, [rep.to_json()]))
+        artifacts.append((args.json, rep.json_lines()))
     if args.svg:
         artifacts.append((args.svg, report.svg_lines(model, qual)))
     _write_all(artifacts)
@@ -157,6 +157,7 @@ def _cmd_compare(args) -> int:
         raise InputError(f"the ca panel needs at least 3 columns for its two axes, and "
                          f"{table.name!r} is {table.shape[0]}x{table.shape[1]}; "
                          "leave it out with --methods jk,pca,mds")
+    # The table is not handed over: the ca panel reads its values after the fit.
     fit = functools.cache(lambda: report.analyze(table))
     # Every panel is built before any file is written.
     panels = [(m, *_PANELS[m](table, fit)) for m in methods]

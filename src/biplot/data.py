@@ -26,6 +26,8 @@ class DataTable:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     values: np.ndarray
+    # The fast parser's own writeable buffer under ``values``, for ``preprocess`` to reuse.
+    _buffer: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, p = len(self.row_labels), len(self.col_labels)
@@ -201,8 +203,10 @@ def _parse_fast(fh, name: str) -> DataTable:
             raise ValueError("a cell that is not a number") from None
         if len(rows) != len(rests) or set(map(len, rows)) != {p}:
             raise ValueError("row count or field count needs the reference parser")
-    return DataTable(name, tuple(map(_strip_label, labels)), tuple(col_labels),
-                     np.frombuffer(values).reshape(len(labels), p))
+    x = np.frombuffer(values).reshape(len(labels), p)
+    t = DataTable(name, tuple(map(_strip_label, labels)), tuple(col_labels), x.view())
+    object.__setattr__(t, "_buffer", x)  # the view is made read-only, not x
+    return t
 
 
 def _parse_reference(source, name: str) -> DataTable:
@@ -274,25 +278,28 @@ def refuse_unusable_column(t: DataTable, undefined: str) -> None:
                          f"{floor:.3g}, where its centered sums of squares would underflow")
 
 
-def preprocess(t: DataTable, mode: str = "zscore") -> tuple[np.ndarray, PreprocessRecord]:
-    """Column-wise preprocessing: none, center, or zscore (sample sd, n-1).
-    The result is the one n x p matrix made: zscore divides the centered
-    copy in place by sds from ``np.einsum``'s column sums of squares, the
-    bits of ``x.std(axis=0, ddof=1)`` on the row-major table."""
-    x = t.values
-    ones = (1.0,) * x.shape[1]
+def preprocess(t: DataTable, mode: str = "zscore",
+               overwrite_table: bool = False) -> tuple[np.ndarray, PreprocessRecord]:
+    """Column-wise preprocessing: none, center, or zscore (sample sd, n-1),
+    into one new n x p matrix, or with ``overwrite_table=True`` (scipy's
+    ``overwrite_a``) into a parsed table's own buffer. zscore divides the
+    centered matrix in place by sds from ``np.einsum``'s column sums of
+    squares, the bits of ``x.std(axis=0, ddof=1)`` on the row-major table."""
+    if mode not in ("none", "center", "zscore"):
+        raise InputError(f"unknown preprocessing mode {mode!r}")
+    x, p = t.values, t.shape[1]
+    out = t._buffer if overwrite_table else None
     if mode == "none":
-        return x.copy(), PreprocessRecord("none", (0.0,) * x.shape[1], ones)
-    means = x.mean(axis=0)
-    if mode == "center":
-        return x - means, PreprocessRecord("center", tuple(means.tolist()), ones)
-    if mode == "zscore":
+        return x.copy() if out is None else out, PreprocessRecord("none", (0.0,) * p, (1.0,) * p)
+    if mode == "zscore":  # before any arithmetic on the values
         refuse_unusable_column(t, "zscore")
-        z = x - means
-        sds = np.sqrt(np.einsum("ij,ij->j", z, z) / (x.shape[0] - 1))
-        z /= sds
-        return z, PreprocessRecord("zscore", tuple(means.tolist()), tuple(sds.tolist()))
-    raise InputError(f"unknown preprocessing mode {mode!r}")
+    means = x.mean(axis=0)
+    z = np.subtract(x, means, out=out)
+    if mode == "center":
+        return z, PreprocessRecord("center", tuple(means.tolist()), (1.0,) * p)
+    sds = np.sqrt(np.einsum("ij,ij->j", z, z) / (x.shape[0] - 1))
+    z /= sds
+    return z, PreprocessRecord("zscore", tuple(means.tolist()), tuple(sds.tolist()))
 
 
 # Case-study fixtures. Values are kept verbatim as published.

@@ -124,23 +124,25 @@ def quality(model: BiplotModel, x) -> QualityReport:
     ``qr_rows[i]`` is the fraction of row i's squared norm captured by the
     retained axes, and symmetrically for columns; ``qr_overall`` is the
     variance-explained ratio of the retained singular values and
-    ``residual_frobenius`` the norm of the discarded ones. ``x`` must be
-    the fitted matrix: a ratio above 1 beyond rounding raises NumericalError.
+    ``residual_frobenius`` the norm of the discarded ones. ``x`` must be the fitted
+    matrix: a ratio above 1 beyond rounding raises NumericalError, a non-finite entry InputError.
     Rows and columns whose squared norm is within that rounding keep their
     ratio and are labelled in ``noise_rows`` and ``noise_cols``.
     """
-    m = linalg.as_matrix(x)
+    m = np.asarray(x, dtype=float)
     if m.shape != model.shape:
         raise InputError(f"matrix shape {m.shape} does not match model shape {model.shape}")
+    row_sq, col_sq = np.einsum("ij,ij->i", m, m), np.einsum("ij,ij->j", m, m)
+    # Rounding lets a captured norm pass its norm by a fraction of the whole
+    # matrix's (a row of norm 1e-17 may read 100); only that much is clipped.
+    tol = 1e-9 * float(np.sum(row_sq))
+    if not np.isfinite(tol):  # as a non-finite entry makes it, with no pass of its own
+        linalg.as_matrix(m)  # which raises, naming the entry
     s = model.sigma_retained
     # sigma_k * u_ik recovered from the markers regardless of gamma
     row_coord = model.row_markers * s ** (1.0 - model.gamma)
     col_coord = model.col_markers * s ** model.gamma
-    row_sq, col_sq = np.einsum("ij,ij->i", m, m), np.einsum("ij,ij->j", m, m)
     row_cap, col_cap = np.sum(row_coord ** 2, axis=1), np.sum(col_coord ** 2, axis=1)
-    # Rounding lets a captured norm pass its norm by a fraction of the whole
-    # matrix's (a row of norm 1e-17 may read 100); only that much is clipped.
-    tol = 1e-9 * float(np.sum(row_sq))
     noise = []
     for kind, cap, sq, labels in (("row", row_cap, row_sq, model.row_labels),
                                   ("column", col_cap, col_sq, model.col_labels)):

@@ -17,6 +17,7 @@ from .linalg import as_matrix, one_blas_thread
 # Widest table whose report holds the p x p correlations and cosines: every paper
 # table fits; past it they grow into nearly all of the report, and past reading.
 _BLOCKS_MAX_COLS = 64
+_JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,13 @@ class AnalysisReport:
     warnings: list
     schema_version: int
 
+    def json_lines(self):
+        """The pieces of ``to_json()``, from ``json_lines``."""
+        return json_lines({k: v for k, v in self.__dict__.items() if v is not None})
+
     def to_json(self) -> str:
         """Key-sorted JSON without the ``None`` blocks; floats keep their shortest form."""
-        return dumps({k: v for k, v in self.__dict__.items() if v is not None})
+        return "".join(self.json_lines())
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -55,11 +60,36 @@ class AnalysisReport:
                    | json.loads(text))
 
 
+def json_lines(doc):
+    """Every JSON artifact in pieces, the bytes of one ``orjson.dumps`` (strict JSON, sorted keys,
+    two-space indent, final newline): dicts key by key, lists of over ``_BLOCK`` items by block."""
+    yield from _json_pieces(doc, 0)
+    yield "\n"
+
+
+def _json_pieces(value, depth: int):
+    """``value`` as orjson writes it inside ``depth`` containers."""
+    indent = "\n" + "  " * depth
+    if isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + indent + "  " + orjson.dumps(key).decode() + ": "
+            yield from _json_pieces(value[key], depth + 1)
+        yield indent + "}"
+    elif isinstance(value, (list, np.ndarray)) and len(value) > _BLOCK:
+        for i in range(0, len(value), _BLOCK):  # each block, one piece, less "[" and indent + "]"
+            text = next(_json_pieces(value[i:i + _BLOCK], depth))[1:-len(indent) - 1]
+            yield ("," if i else "[") + text
+        yield indent + "]"
+    else:  # nested in ``depth`` lists, ``value``'s lines are indented by orjson; cut the lists
+        for _ in range(depth):
+            value = [value]
+        text = orjson.dumps(value, option=_JSON_OPTIONS).decode()
+        yield text[depth * (depth + 3):len(text) - depth * (depth + 1)]
+
+
 def dumps(doc) -> str:
-    """The text of every JSON artifact: strict JSON (NaN and infinities are
-    ``null``) with sorted keys, a two-space indent and a final newline."""
-    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
-                        | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY).decode()
+    """The document of ``json_lines(doc)``."""
+    return "".join(json_lines(doc))
 
 
 def method_name(gamma: float) -> str:
@@ -67,15 +97,16 @@ def method_name(gamma: float) -> str:
     return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
 
 
-def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2,
-            scale: str = "zscore") -> tuple[BiplotModel, QualityReport, AnalysisReport]:
+def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2, scale: str = "zscore",
+            overwrite_table: bool = False) -> tuple[BiplotModel, QualityReport, AnalysisReport]:
     """The analysis pipeline: preprocess ``table``, fit the rank-``dims``
     biplot, judge its quality of representation and assemble the report.
     OpenBLAS runs on one thread throughout, so the results are the same
-    bits at any thread count."""
-    refuse_unusable_column(table, "correlation")  # at every width, before any work
+    bits at any thread count. ``overwrite_table`` is passed on to ``preprocess``."""
+    if scale != "zscore":  # preprocess refuses a zscore table itself
+        refuse_unusable_column(table, "correlation")  # at every width, before any work
     with one_blas_thread():
-        x, record = preprocess(table, scale)
+        x, record = preprocess(table, scale, overwrite_table)
         model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,
                            col_labels=table.col_labels)
         qual = quality(model, x)
@@ -147,7 +178,7 @@ _ARROW_HEAD = ('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6
                '</marker></defs>\n')
 # The characters XML 1.0 forbids in a document.
 _NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
-# Rows formatted per block; ``%.3f`` writes the same text as ``_fmt``.
+# Rows formatted per piece by the SVG and JSON writers; ``%.3f`` writes the same text as ``_fmt``.
 _BLOCK = 4096
 _DOT = '<circle class="dot" cx="%.3f" cy="%.3f" r="3" fill="#003366"/>\n'
 _LABEL = '<text class="row-label" x="%.3f" y="%.3f" font-size="11" fill="#003366">%s</text>\n'

@@ -75,6 +75,19 @@ def test_mds_input_validation():
         classical_mds(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1)
 
 
+def test_mds_range_rule_at_every_scale():
+    tri = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 2.0], [1.5, 2.0, 0.0]])
+    unit = classical_mds(tri).coords
+    for scale in (1e150, 1e-7, 1e-100, 1e-150):  # the embedding scales with the distances
+        assert np.allclose(classical_mds(tri * scale).coords, unit * scale, rtol=1e-12, atol=0)
+    for scale, says in ((1e200, r"2e\+200"), (1e-160, "2e-160")):
+        with pytest.raises(InputError, match=rf"^the largest distance, {says} at row 1, column 2,"
+                                             r" is neither 0 nor in \[2.98e-154, 2.23e\+153\]"):
+            classical_mds(tri * scale)
+    with pytest.raises(InputError, match="no positive eigenvalues"):  # every point in one place
+        classical_mds(np.zeros((3, 3)))
+
+
 def test_ca_independence_table_has_zero_inertia():
     r = np.array([0.5, 0.3, 0.2])
     c = np.array([0.4, 0.35, 0.25])

@@ -29,11 +29,11 @@ def _counters(spans: list, name: str) -> list:
 
 
 def test_tracer_sees_the_report_writers(tmp_path):
-    spans = _traced_spans(tmp_path, "case", "1", "--json", "r.json", "--svg", "p.svg")
-    size = (tmp_path / "r.json").stat().st_size
-    assert [c["bytes"] for c in _counters(spans, "report.to_json")] == [size]
-
+    # analyze and case stream both artifacts (AnalysisReport.json_lines and
+    # report.svg_lines); compare's JK panel still calls the writers it counts.
     (tmp_path / "case1.csv").write_text(case_csv(1), encoding="utf-8")
     spans = _traced_spans(tmp_path, "compare", "case1.csv", "--methods", "jk")
-    size = (tmp_path / "case1_jk.svg").stat().st_size
-    assert [c["bytes"] for c in _counters(spans, "report.render_svg")] == [size]
+    for name, artifact in (("report.to_json", "case1_jk.json"),
+                           ("report.render_svg", "case1_jk.svg")):
+        size = (tmp_path / artifact).stat().st_size
+        assert [c["bytes"] for c in _counters(spans, name)] == [size]

@@ -273,6 +273,50 @@ def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
             assert blob == artifacts[1][name], f"{' '.join(argv[:2])}: {name} differs"
 
 
+def test_compare_ca_panel_is_the_same_beside_the_jk_fit(tmp_path):
+    # compare does not hand its table over to the JK fit: the CA panel reads
+    # the raw values after it, on a table of more than one row block too.
+    path = _seeded_csv(tmp_path / "t.csv", report._BLOCK + 1, 5, 2, positive=True)
+    for methods in ("ca", "jk,ca"):
+        out = tmp_path / methods.replace(",", "_")
+        assert main(["compare", str(path), "--methods", methods, "--out", str(out)]) == 0
+    for ext in ("json", "svg"):
+        assert (tmp_path / "ca" / f"t_ca.{ext}").read_bytes() == \
+            (tmp_path / "jk_ca" / f"t_ca.{ext}").read_bytes()
+
+
+# The CLI with an exit hook that writes its process's peak resident set
+# (VmHWM, which starts afresh at exec) to stderr.
+_PEAK_ENTRY = """import atexit, sys
+def _hwm():
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+atexit.register(_hwm)
+from biplot.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_analyze_peak_memory_is_bounded_by_the_table(tmp_path):
+    """The tall command holds one n x p matrix, the parsed table z-scored in
+    place, and writes both artifacts in pieces: its peak resident set above
+    that of ``case 1`` (interpreter, numpy and a tiny table) is at most 2.5
+    times the table's bytes, what the parse leaves included."""
+    n, p = 50000, 20
+    tall = _seeded_csv(tmp_path / "tall.csv", n, p, 1)
+    src = str(Path(biplot.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def peak_kb(*argv):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_ENTRY, *argv], cwd=tmp_path, env=env,
+                              check=True, capture_output=True, text=True, timeout=120)
+        return int(proc.stderr.split()[-2])
+
+    tall_kb = peak_kb("analyze", str(tall), "--json", "r.json", "--svg", "p.svg")
+    assert (tall_kb - peak_kb("case", "1")) * 1024 <= 2.5 * n * p * 8
+
+
 @pytest.mark.parametrize("command, options", [("analyze", []),
                                               ("compare", ["--methods", "jk"])])
 def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command, options):

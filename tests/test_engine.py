@@ -48,6 +48,15 @@ def test_fit_biplot_rejects_unusable_matrices(x, says):
     assert str(exc.value) == f"matrix {says}"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_quality_names_a_non_finite_entry(bad):
+    x = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 0.5]])
+    m = jk(x, 1)
+    x[1, 0] = bad
+    with pytest.raises(InputError, match="^matrix contains a non-finite entry at row 1, column 0$"):
+        quality(m, x)
+
+
 def test_marker_orthonormality_by_gamma():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 5))

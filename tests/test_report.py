@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import math
 import re
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biplot.data import DataTable, load_case, preprocess
+from biplot.data import DataTable, load_case, parse_table, preprocess, serialize_table
 from biplot.engine import column_cosines, fit_biplot, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
 from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, _fmt, analyze,
@@ -343,6 +345,40 @@ def test_dumps_reads_back_as_strict_json(doc):
     assert json.loads(text, parse_constant=_refuse) == _finite_or_none(doc)
 
 
+def _one_orjson_call(doc) -> str:
+    """The reference the JSON writer keeps the bytes of: the whole document
+    through one ``orjson.dumps``."""
+    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                        | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY).decode()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON, st.sampled_from([1, 2]))
+def test_dumps_in_blocks_equals_one_orjson_call(doc, block):
+    # A block of one or two items splits every list the strategy draws, at every depth.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("biplot.report._BLOCK", block)
+        assert dumps(doc) == _one_orjson_call(doc)
+
+
+@pytest.mark.parametrize("n, p", [(_BLOCK, 3), (_BLOCK + 1, 3), (3 * _BLOCK + 5, 3),
+                                  (_BLOCK + 1, 65)])
+def test_streamed_report_equals_one_orjson_call(n, p):
+    labels = tuple(f"r{i}" for i in range(n - 1)) + ('Zürich "Ω" \\ \x01',)
+    t = DataTable("t", labels, tuple(f"c{j}" for j in range(p)),
+                  np.random.default_rng(n + p).normal(size=(n, p)))
+    rep = analyze(t)[2]
+    if rep.cosines is not None:
+        rep = dataclasses.replace(rep, cosines=np.where(np.eye(p) > 0, np.nan, rep.cosines))
+    pieces = list(rep.json_lines())
+    text = "".join(pieces)
+    doc = {k: v for k, v in rep.__dict__.items() if v is not None}
+    assert text == rep.to_json() == dumps(doc) == _one_orjson_call(doc)
+    assert ('Zürich \\"Ω\\" \\\\ \\u0001' in text) and (("null" in text) == (p <= 64))
+    # No piece holds more than one block of row markers, of four lines per row.
+    assert max(piece.count("\n") for piece in pieces) <= 4 * _BLOCK + 1
+
+
 def test_dumps_layout():
     doc = {"b": [1.5, float("nan"), 1e16], "a": {"é": "ü", "z": [], "y": {}}, "": 1e-05}
     assert dumps(doc) == ('{\n  "": 0.00001,\n  "a": {\n    "y": {},\n    "z": [],\n'
@@ -365,3 +401,45 @@ def test_analyze_holds_one_matrix_beside_the_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * t.values.nbytes
+
+
+def test_analyze_in_a_handed_over_table_holds_no_second_matrix():
+    """With the parsed table handed over, the z-score takes its buffer: beyond
+    it analyze holds row blocks and n x dims arrays, under half its bytes."""
+    n, p = 40000, 20
+    t = DataTable("tall", tuple(f"r{i}" for i in range(n)), tuple(f"c{j}" for j in range(p)),
+                  np.random.default_rng(0).normal(size=(n, p)))
+    parsed = parse_table(serialize_table(t), "tall")
+    analyze(t)  # warm-up
+    tracemalloc.start()
+    try:
+        analyze(parsed, overwrite_table=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * t.values.nbytes
+
+
+@pytest.mark.parametrize("scale", ["zscore", "center", "none"])
+def test_overwrite_table_reuses_only_a_parsed_tables_buffer(scale):
+    x = np.random.default_rng(4).normal(size=(50, 4))
+    raw = x.copy()
+    t = DataTable("t", tuple(f"r{i}" for i in range(50)), ("a", "b", "c", "d"), x)
+    expected = analyze(t, scale=scale)[2].to_json()
+    assert np.array_equal(t.values, raw)
+    # A library caller's table is copied, handed over or not.
+    assert analyze(t, scale=scale, overwrite_table=True)[2].to_json() == expected
+    assert np.array_equal(t.values, raw) and not t.values.flags.writeable
+    # A parsed table's buffer takes the preprocessed matrix.
+    parsed = parse_table(serialize_table(t), "t")
+    z = preprocess(t, scale)[0]
+    assert analyze(parsed, scale=scale, overwrite_table=True)[2].to_json() == expected
+    if scale != "none":  # analyze centers X after the fit under "none"
+        assert np.array_equal(parsed.values, z)
+    assert not parsed.values.flags.writeable
+    # A table made from another by replace() owns no buffer.
+    parsed = parse_table(serialize_table(t), "t")
+    other = dataclasses.replace(parsed, values=raw.copy())
+    assert np.shares_memory(preprocess(parsed, scale, overwrite_table=True)[0], parsed.values)
+    assert not np.shares_memory(preprocess(other, scale, overwrite_table=True)[0], other.values)
+    assert np.array_equal(other.values, raw)
