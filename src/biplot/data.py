@@ -20,7 +20,8 @@ MIN_COLS = 2
 
 @dataclass(frozen=True)
 class DataTable:
-    """Labeled n x p real matrix, held row-major; rows are cases, columns are variables."""
+    """Labeled n x p real matrix, held row-major; rows are cases, columns are variables.
+    ``values`` is a read-only view of a C-order float64 array given: its writes show through."""
 
     name: str
     row_labels: tuple[str, ...]
@@ -45,8 +46,8 @@ class DataTable:
             bad = np.argwhere(~np.isfinite(v))[0]
             raise InputError(f"table {self.name!r} has a non-finite value at "
                              f"row {self.row_labels[bad[0]]!r}, column {self.col_labels[bad[1]]!r}")
-        object.__setattr__(self, "values", v)
-        v.flags.writeable = False
+        object.__setattr__(self, "values", v.view())
+        self.values.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -204,8 +205,8 @@ def _parse_fast(fh, name: str) -> DataTable:
         if len(rows) != len(rests) or set(map(len, rows)) != {p}:
             raise ValueError("row count or field count needs the reference parser")
     x = np.frombuffer(values).reshape(len(labels), p)
-    t = DataTable(name, tuple(map(_strip_label, labels)), tuple(col_labels), x.view())
-    object.__setattr__(t, "_buffer", x)  # the view is made read-only, not x
+    t = DataTable(name, tuple(map(_strip_label, labels)), tuple(col_labels), x)
+    object.__setattr__(t, "_buffer", x)  # values is a read-only view of x
     return t
 
 

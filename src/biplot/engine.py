@@ -124,10 +124,10 @@ def quality(model: BiplotModel, x) -> QualityReport:
     ``qr_rows[i]`` is the fraction of row i's squared norm captured by the
     retained axes, and symmetrically for columns; ``qr_overall`` is the
     variance-explained ratio of the retained singular values and
-    ``residual_frobenius`` the norm of the discarded ones. ``x`` must be the fitted
-    matrix: a ratio above 1 beyond rounding raises NumericalError, a non-finite entry InputError.
-    Rows and columns whose squared norm is within that rounding keep their
-    ratio and are labelled in ``noise_rows`` and ``noise_cols``.
+    ``residual_frobenius`` the norm of the discarded ones. ``x`` must be the fitted matrix:
+    a ratio above 1 beyond rounding raises NumericalError, a non-finite entry or squares
+    past the float range InputError. Rows and columns whose squared norm is within that
+    rounding keep their ratio and are labelled in ``noise_rows`` and ``noise_cols``.
     """
     m = np.asarray(x, dtype=float)
     if m.shape != model.shape:
@@ -135,14 +135,17 @@ def quality(model: BiplotModel, x) -> QualityReport:
     row_sq, col_sq = np.einsum("ij,ij->i", m, m), np.einsum("ij,ij->j", m, m)
     # Rounding lets a captured norm pass its norm by a fraction of the whole
     # matrix's (a row of norm 1e-17 may read 100); only that much is clipped.
-    tol = 1e-9 * float(np.sum(row_sq))
-    if not np.isfinite(tol):  # as a non-finite entry makes it, with no pass of its own
-        linalg.as_matrix(m)  # which raises, naming the entry
+    with np.errstate(over="ignore"):  # a sum past the float range is refused here
+        tol = 1e-9 * float(np.sum(row_sq))
+        if not np.isfinite(tol):  # a non-finite entry makes it, or squares past the float range
+            linalg.as_matrix(m)  # which raises, naming the entry
+            i = int(np.argmin(np.isfinite(np.cumsum(row_sq))))  # where the sum overflows
+            raise InputError(f"x is too large to square: overflow at row {model.row_labels[i]!r}")
     s = model.sigma_retained
-    # sigma_k * u_ik recovered from the markers regardless of gamma
-    row_coord = model.row_markers * s ** (1.0 - model.gamma)
-    col_coord = model.col_markers * s ** model.gamma
-    row_cap, col_cap = np.sum(row_coord ** 2, axis=1), np.sum(col_coord ** 2, axis=1)
+    # sigma_k * u_ik recovered from the markers regardless of gamma; the n x s rows squared in place
+    row_cap = model.row_markers * s ** (1.0 - model.gamma)
+    row_cap = np.sum(np.square(row_cap, out=row_cap), axis=1)
+    col_cap = np.sum((model.col_markers * s ** model.gamma) ** 2, axis=1)
     noise = []
     for kind, cap, sq, labels in (("row", row_cap, row_sq, model.row_labels),
                                   ("column", col_cap, col_sq, model.col_labels)):
@@ -151,14 +154,15 @@ def quality(model: BiplotModel, x) -> QualityReport:
             raise NumericalError(f"{kind} {labels[over[0]]!r} has quality above 1: "
                                  "x is not the matrix the model was fitted to")
         noise.append(tuple(labels[i] for i in np.flatnonzero(sq <= tol)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        qr_rows = np.minimum(np.where(row_sq > 0, row_cap / row_sq, 1.0), 1.0)
-        qr_cols = np.minimum(np.where(col_sq > 0, col_cap / col_sq, 1.0), 1.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(cap, sq, out=cap)  # the ratio, in cap's own buffer
+        cap[sq <= 0] = 1.0
+        np.minimum(cap, 1.0, out=cap)
     total = float(np.sum(model.sigma_all ** 2))
     qr_overall = float(np.sum(s ** 2) / total) if total > 0 else 1.0
     # Eckart-Young: ||X - A B'||_F is the norm of the discarded singular values
     residual = float(np.sqrt(np.sum(model.sigma_all[model.dims:] ** 2)))
-    return QualityReport(qr_rows=qr_rows, qr_cols=qr_cols,
+    return QualityReport(qr_rows=row_cap, qr_cols=col_cap,
                          qr_overall=qr_overall, residual_frobenius=residual,
                          noise_rows=noise[0], noise_cols=noise[1])
 

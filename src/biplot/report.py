@@ -178,18 +178,13 @@ _ARROW_HEAD = ('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6
                '</marker></defs>\n')
 # The characters XML 1.0 forbids in a document.
 _NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
-# Rows formatted per piece by the SVG and JSON writers; ``%.3f`` writes the same text as ``_fmt``.
+# Rows formatted per piece by the SVG and JSON writers; ``%.3f`` writes the text of ``:.3f``.
 _BLOCK = 4096
 _DOT = '<circle class="dot" cx="%.3f" cy="%.3f" r="3" fill="#003366"/>\n'
 _LABEL = '<text class="row-label" x="%.3f" y="%.3f" font-size="11" fill="#003366">%s</text>\n'
 # Rows labelled in a panel: more overprint into a blot, and the rows farthest out
 # carry the plane (Greenacre's contribution biplot); the others keep their dot.
 _LABELLED_ROWS = 100
-
-
-def _fmt(v: float) -> str:
-    """Fixed, locale-free coordinate formatting."""
-    return f"{v:.3f}"
 
 
 def _escape(text: str) -> str:
@@ -206,48 +201,49 @@ def _frame(shares, legend: str, *body, defs: str = ""):
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
            f'height="{h}" viewBox="0 0 {w} {h}">\n')
     yield f'<rect width="{w}" height="{h}" fill="white"/>\n'
-    yield (f'<line class="axis" x1="{_fmt(m)}" y1="{_fmt(cy)}" '
-           f'x2="{_fmt(w - m)}" y2="{_fmt(cy)}" stroke="#cccccc"/>\n')
-    yield (f'<line class="axis" x1="{_fmt(cx)}" y1="{_fmt(m)}" '
-           f'x2="{_fmt(cx)}" y2="{_fmt(h - m)}" stroke="#cccccc"/>\n')
+    yield (f'<line class="axis" x1="{m:.3f}" y1="{cy:.3f}" '
+           f'x2="{w - m:.3f}" y2="{cy:.3f}" stroke="#cccccc"/>\n')
+    yield (f'<line class="axis" x1="{cx:.3f}" y1="{m:.3f}" '
+           f'x2="{cx:.3f}" y2="{h - m:.3f}" stroke="#cccccc"/>\n')
     if shares is not None:
-        yield (f'<text class="axis-label" x="{_fmt(w - m)}" y="{_fmt(cy - 8)}" '
+        yield (f'<text class="axis-label" x="{w - m:.3f}" y="{cy - 8:.3f}" '
                f'text-anchor="end" font-size="12">Axis 1 ({shares[0]:.1f}%)</text>\n')
-        yield (f'<text class="axis-label" x="{_fmt(cx + 8)}" y="{_fmt(m + 4)}" '
+        yield (f'<text class="axis-label" x="{cx + 8:.3f}" y="{m + 4:.3f}" '
                f'font-size="12">Axis 2 ({shares[1]:.1f}%)</text>\n')
     for lines in body:
         yield from lines
-    yield (f'<text class="legend" x="{_fmt(m)}" y="{_fmt(h - m / 2)}" '
+    yield (f'<text class="legend" x="{m:.3f}" y="{h - m / 2:.3f}" '
            f'font-size="12">{_escape(legend)}</text>\n')
     if defs:
         yield defs
     yield '</svg>\n'
 
 
-def _place(*coords: np.ndarray):
-    """Pixel positions ``(x, y)``, two arrays, of n x 2 coordinate sets drawn
-    on one scale, which puts the largest |coordinate| of any set ``_HALF``
-    from the centre."""
-    unit = _HALF / (max(float(np.max(np.abs(c))) for c in coords) or 1.0)
-    return [(_CX + c[:, 0] * unit, _CY - c[:, 1] * unit) for c in coords]
+def _extent(*coords: np.ndarray) -> float:
+    """The largest |coordinate| of any of the coordinate sets, or 1.0 if they are all 0."""
+    return max(float(max(c.max(), -c.min())) for c in coords) or 1.0
 
 
-def _row_dots(coords: np.ndarray, x: np.ndarray, y: np.ndarray, labels):
-    """A dot at each row's pixel position ``(x, y)``, in every panel, as one string
-    per block of ``_BLOCK`` rows; the ``_LABELLED_ROWS`` rows whose ``coords`` lie
-    farthest from the origin, ties in row order, have their label after their dot."""
-    shown, k = range(len(x)), _LABELLED_ROWS
-    if len(x) > k:  # the k largest distances, without sorting them all
-        d = np.hypot(coords[:, 0], coords[:, 1])
-        top = np.flatnonzero(d >= np.partition(d, -k)[-k])
-        shown = top[np.argsort(-d[top], kind="stable")[:k]].tolist()
-    text = {j: _LABEL % (x[j] + 5, y[j] + 3, _escape(labels[j])) for j in shown}
-    for i in range(0, len(x), _BLOCK):
-        dots = list(map(_DOT.__mod__, zip(x[i:i + _BLOCK].tolist(), y[i:i + _BLOCK].tolist())))
-        for j, label in text.items():
-            if i <= j < i + _BLOCK:
-                dots[j - i] += label
-        yield "".join(dots)
+def _row_dots(coords: np.ndarray, unit: float, labels):
+    """A dot for each row of the n x 2 ``coords``, ``unit`` pixels to the unit from the
+    centre, in every panel, as one string per block of ``_BLOCK`` rows; the
+    ``_LABELLED_ROWS`` rows farthest from the origin, ties in row order, have their
+    label after their dot. Each pass holds one block of rows beyond the labelled ones."""
+    shown = range(len(coords))
+    if len(coords) > _LABELLED_ROWS:  # not below: a sort pages ~0.2 MB of code into the process
+        far = np.empty(0, dtype=np.intp)  # the farthest rows so far, farthest first
+        for i in range(0, len(coords), _BLOCK):  # far's earlier rows win ties by the stable sort
+            rows = np.concatenate((far, np.arange(i, min(i + _BLOCK, len(coords)))))
+            far = rows[np.argsort(-np.hypot(*coords[rows].T), kind="stable")[:_LABELLED_ROWS]]
+        shown = sorted(far.tolist())
+    for i in range(0, len(coords), _BLOCK):
+        xy = (coords[i:i + _BLOCK] * [unit, -unit] + [_CX, _CY]).ravel().tolist()  # x0, y0, x1, ..
+        template, args, r = "", [], 0  # r: the block's rows in template and args so far
+        for j in [j - i for j in shown if i <= j < i + _BLOCK]:
+            template += _DOT * (j + 1 - r) + _LABEL
+            args += [*xy[2 * r:2 * j + 2], xy[2 * j] + 5, xy[2 * j + 1] + 3, _escape(labels[i + j])]
+            r = j + 1
+        yield (template + _DOT * (len(xy) // 2 - r)) % (*args, *xy[2 * r:])
 
 
 def svg_lines(model: BiplotModel, quality: QualityReport, *, vector_scale: float | None = None):
@@ -263,22 +259,23 @@ def svg_lines(model: BiplotModel, quality: QualityReport, *, vector_scale: float
         raise InputError(f"vector_scale must be finite and positive, got {vector_scale}")
     A, B = model.row_markers, model.col_markers
     if vector_scale is None:
-        row_extent = float(np.max(np.abs(A))) or 1.0
-        vector_scale = 0.4 * row_extent / (float(np.max(np.linalg.norm(B, axis=1))) or 1.0)
-    rows, (cx, cy) = _place(A, B * vector_scale)
+        vector_scale = 0.4 * _extent(A) / (float(np.max(np.linalg.norm(B, axis=1))) or 1.0)
+    B = B * vector_scale
+    unit = _HALF / _extent(A, B)
 
     def arrows():
-        for x, y, label in zip(cx.tolist(), cy.tolist(), model.col_labels, strict=True):
-            yield (f'<line class="arrow" x1="{_fmt(_CX)}" y1="{_fmt(_CY)}" '
-                   f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#cc0000" '
+        for (x, y), label in zip((B * [unit, -unit] + [_CX, _CY]).tolist(), model.col_labels,
+                                 strict=True):
+            yield (f'<line class="arrow" x1="{_CX:.3f}" y1="{_CY:.3f}" '
+                   f'x2="{x:.3f}" y2="{y:.3f}" stroke="#cc0000" '
                    f'stroke-width="1.5" marker-end="url(#head)"/>\n')
-            yield (f'<text class="col-label" x="{_fmt(x + 4)}" y="{_fmt(y - 4)}" '
+            yield (f'<text class="col-label" x="{x + 4:.3f}" y="{y - 4:.3f}" '
                    f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
 
     legend = (f'{method_name(model.gamma).upper()} biplot | '
               f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{vector_scale:.4g}')
     return _frame(model.axis_variance_shares() * 100.0, legend,
-                  arrows(), _row_dots(A, *rows, model.row_labels), defs=_ARROW_HEAD)
+                  arrows(), _row_dots(A, unit, model.row_labels), defs=_ARROW_HEAD)
 
 
 def render_svg(model: BiplotModel, quality: QualityReport, *,
@@ -303,14 +300,15 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
         if len(names) != len(pts):
             raise InputError(f"scatter rendering needs one label per point, "
                              f"got {len(names)} labels for {len(pts)} points")
-    rows, *cols = _place(*sets)
+    unit = _HALF / _extent(*sets)
 
-    def squares(cx, cy):
-        for x, y, label in zip(cx.tolist(), cy.tolist(), col_labels, strict=True):
-            yield (f'<rect class="col-dot" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
+    def squares(c):
+        for (x, y), label in zip((c * [unit, -unit] + [_CX, _CY]).tolist(), col_labels,
+                                 strict=True):
+            yield (f'<rect class="col-dot" x="{x - 3:.3f}" y="{y - 3:.3f}" '
                    f'width="6" height="6" fill="#cc0000"/>\n')
-            yield (f'<text class="col-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
+            yield (f'<text class="col-label" x="{x + 5:.3f}" y="{y + 3:.3f}" '
                    f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
 
-    return "".join(_frame(shares, title, _row_dots(sets[0], *rows, labels),
-                          *(squares(*c) for c in cols)))
+    return "".join(_frame(shares, title, _row_dots(sets[0], unit, labels),
+                          *map(squares, sets[1:])))

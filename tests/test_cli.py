@@ -317,6 +317,23 @@ def test_analyze_peak_memory_is_bounded_by_the_table(tmp_path):
     assert (tall_kb - peak_kb("case", "1")) * 1024 <= 2.5 * n * p * 8
 
 
+def test_analyze_peak_memory_after_the_fit_stays_under_twice_the_table(tmp_path):
+    """After the fit, quality forms its ratios in place and the SVG writer
+    places, ranks and formats the rows a block at a time: the tall command's
+    peak above ``case 1``'s is at most 2.0 times the table's bytes."""
+    n, p = 50000, 20
+    tall = _seeded_csv(tmp_path / "tall.csv", n, p, 1)
+    src = str(Path(biplot.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peak_kb = [int(subprocess.run([sys.executable, "-c", _PEAK_ENTRY, *argv], cwd=tmp_path,
+                                  env=env, check=True, capture_output=True, text=True,
+                                  timeout=120).stderr.split()[-2])
+               for argv in (["analyze", str(tall), "--json", "r.json", "--svg", "p.svg"],
+                            ["case", "1"])]
+    assert (peak_kb[0] - peak_kb[1]) * 1024 <= 2.0 * n * p * 8
+
+
 @pytest.mark.parametrize("command, options", [("analyze", []),
                                               ("compare", ["--methods", "jk"])])
 def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command, options):

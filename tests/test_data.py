@@ -52,6 +52,16 @@ def test_parse_rejects_too_small(parse):
         parse(",a\nr1,1\nr2,3\nr3,5\n", "bad")
 
 
+def test_table_locks_a_view_not_the_callers_array():
+    x = np.arange(6.0).reshape(3, 2)
+    t = DataTable("t", ("a", "b", "c"), ("u", "v"), x)
+    x[0, 0] = 7.0  # the caller's array stays writeable; the table sees the write
+    assert t.values[0, 0] == 7.0
+    assert not t.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        t.values[0, 0] = 1.0
+
+
 def test_roundtrip_serialize_reparse():
     t = parse_table(MINIMAL, "mini")
     t2 = parse_table(serialize_table(t), "mini")

@@ -57,6 +57,16 @@ def test_quality_names_a_non_finite_entry(bad):
         quality(m, x)
 
 
+@pytest.mark.parametrize("bad", [[[1, 2], [3, 1e200], [5, 6]], [[1e154, 0], [0, 1e154], [1, 1]]],
+                         ids=["row", "sum"])
+def test_quality_refuses_squares_past_the_float_range(bad):
+    # Finite entries whose squares overflow: a row's, or only their sum.
+    x = np.array([[1.0, 2.0], [3.0, 1.0], [5.0, 6.0]])
+    m = jk(x - x.mean(axis=0), 2)
+    with pytest.raises(InputError, match="^x is too large to square: overflow at row 'r1'$"):
+        quality(m, np.array(bad, dtype=float))
+
+
 def test_marker_orthonormality_by_gamma():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 5))

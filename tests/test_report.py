@@ -13,10 +13,15 @@ from hypothesis import strategies as st
 from biplot.data import DataTable, load_case, parse_table, preprocess, serialize_table
 from biplot.engine import column_cosines, fit_biplot, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
-from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, _fmt, analyze,
-                           dumps, method_name, render_scatter_svg, render_svg, svg_lines)
+from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, analyze, dumps,
+                           method_name, render_scatter_svg, render_svg, svg_lines)
 
 _LABELLED = 100  # rows that carry a label in a panel
+
+
+def _fmt(v: float) -> str:
+    """A coordinate as every SVG panel writes it."""
+    return f"{v:.3f}"
 
 
 def fitted_case(cid=1):
@@ -291,6 +296,20 @@ def test_more_rows_label_the_farthest_hundred(n):
     assert drawn == [f"r{i}" for i in [*range(99), n - 1]]
 
 
+def test_a_tie_at_the_last_label_across_blocks_goes_to_the_earlier_row():
+    # 99 rows lie at distance 2; rows 5 and _BLOCK + 5, in different blocks, tie at 1 for
+    # the hundredth label, and the earlier one takes it.
+    n = 2 * _BLOCK
+    coords = np.full((n, 2), 0.5)
+    coords[_BLOCK + 10:_BLOCK + 109] = [2.0, 0.0]
+    coords[[5, _BLOCK + 5]] = [[0.0, 1.0], [1.0, 0.0]]
+    labels = tuple(f"r{i}" for i in range(n))
+    svg = render_scatter_svg(coords, labels, "t")
+    _assert_row_layer(svg, _reference_rows(coords, labels))
+    drawn = re.findall(r'class="row-label"[^>]*>(r\d+)</text>', svg)
+    assert drawn == ["r5", *(f"r{i}" for i in range(_BLOCK + 10, _BLOCK + 109))]
+
+
 _COORD = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -418,6 +437,24 @@ def test_analyze_in_a_handed_over_table_holds_no_second_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * t.values.nbytes
+
+
+def test_svg_rows_take_one_block_of_memory():
+    """Beyond the model, iterating svg_lines holds a block of rows at a time:
+    its peak at 100 000 rows is that at 25 000, to within 10%."""
+    peaks = []
+    for n in (25000, 100000):
+        x = np.random.default_rng(0).normal(size=(n, 3))
+        m = fit_biplot(x, 1.0, 2)
+        q = quality(m, x)
+        tracemalloc.start()
+        try:
+            for _ in svg_lines(m, q):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("scale", ["zscore", "center", "none"])
