@@ -31,11 +31,15 @@ def _read_table(path: str) -> DataTable:
         raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _write_all(artifacts) -> None:
+def _write_all(artifacts: list) -> None:
     """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str.
     If one fails, remove every file this call made, so a failed command
-    leaves no artifact behind. A path that cannot be written is an
-    InputError."""
+    leaves no artifact behind. A path that cannot be written, or that
+    resolves to the file of an earlier artifact, is an InputError; the
+    latter is refused before any file is opened."""
+    paths = [Path(path).resolve() for path, _ in artifacts]
+    if len(set(paths)) < len(paths):
+        raise InputError(f"two outputs name the same file, {max(paths, key=paths.count)}")
     made = []
     try:
         try:
@@ -86,15 +90,12 @@ def _row_panel(method: str, table: DataTable, fit):
     with their axis shares, or as MDS coordinates under the sign rule of
     ``classical_mds`` with the eigenvalues and strain."""
     model, qual, _ = fit()
-    coords = model.row_markers
+    coords, share = model.row_markers, qual.qr_overall
     if method == "pca":
-        shares = model.axis_variance_shares()
-        share, title = float(np.sum(shares)), "PCA"
-        axes = (float(shares[0] * 100.0), float(shares[1] * 100.0))
-        extras = {"scores": coords}
+        title, axes, extras = "PCA", model.axis_variance_shares() * 100.0, {"scores": coords}
     else:
         coords = coords * linalg.axis_signs(coords)
-        share, title, axes = qual.qr_overall, "Classical MDS", None
+        title, axes = "Classical MDS", None
         extras = {"coords": coords, "eigenvalues": model.sigma_retained ** 2,
                   "strain": 1.0 - share}
     doc = {"method": method, **extras, "row_labels": list(table.row_labels), "share_2d": share}
@@ -114,10 +115,9 @@ def _ca_panel(table: DataTable, fit):
            "col_labels": list(table.col_labels),
            "share_2d": share,
            "warnings": _ca_warnings(table.col_labels, ca.col_masses)}
-    shares = ca.inertias / ca.total_inertia * 100.0
     svg = report.render_scatter_svg(ca.row_coords, table.row_labels,
                                     f"CA (symmetric) | 2-D share {share * 100:.1f}%",
-                                    (float(shares[0]), float(shares[1])),
+                                    ca.inertias / ca.total_inertia * 100.0,
                                     col_coords=ca.col_coords,
                                     col_labels=table.col_labels)
     return report.dumps(doc), svg, share
@@ -179,6 +179,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_case(args) -> int:
+    others = [option for option, path in (("--json", args.json), ("--svg", args.svg)) if path]
+    if args.dump_csv and others:
+        raise InputError(f"--dump-csv cannot be combined with {' or '.join(others)}")
     if args.dump_csv:
         _write_all([(args.dump_csv, [case_csv(args.case_id)])])
         print(f"wrote {args.dump_csv}")

@@ -74,20 +74,13 @@ def svd(values) -> SvdResult:
 
 
 def right_svd(values) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(sigma, V, rank)`` of a dense real matrix X, as ``svd`` gives them,
-    without forming U: the SVD of the triangular factor R of X = QR (from
-    ``r_factor``), which has X's singular values and right singular vectors
-    (Chan's R-SVD).
-
-    Raises InputError on non-finite input and NumericalError if the
-    underlying solver fails to converge.
-    """
+    """``(sigma, V, rank)`` of a dense real matrix X without forming X's U:
+    ``svd`` of the triangular factor R of X = QR (from ``r_factor``), which
+    has X's singular values and right singular vectors (Chan's R-SVD), with
+    the rank taken at X's shape. Raises as ``svd`` does."""
     m = as_matrix(values)
-    try:
-        _, s, Vt = np.linalg.svd(r_factor(m), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return s, np.multiply(Vt.T, axis_signs(Vt.T), order="C"), _rank(s, m.shape)
+    res = svd(r_factor(m))
+    return res.sigma, res.V, _rank(res.sigma, m.shape)
 
 
 def r_factor(m: np.ndarray) -> np.ndarray:

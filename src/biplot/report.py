@@ -182,6 +182,13 @@ _NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFF
 _BLOCK = 4096
 _DOT = '<circle class="dot" cx="%.3f" cy="%.3f" r="3" fill="#003366"/>\n'
 _LABEL = '<text class="row-label" x="%.3f" y="%.3f" font-size="11" fill="#003366">%s</text>\n'
+# A column's mark and label: the template of (mark x, mark y, label x, label y, label)
+# and the offsets of those four positions from the column's pixel position.
+_COL_LABEL = '<text class="col-label" x="%.3f" y="%.3f" font-size="11" fill="#cc0000">%s</text>\n'
+_ARROW = (f'<line class="arrow" x1="{_CX:.3f}" y1="{_CY:.3f}" x2="%.3f" y2="%.3f" stroke="#cc0000" '
+          'stroke-width="1.5" marker-end="url(#head)"/>\n' + _COL_LABEL, (0, 0, 4, -4))
+_SQUARE = ('<rect class="col-dot" x="%.3f" y="%.3f" width="6" height="6" fill="#cc0000"/>\n'
+           + _COL_LABEL, (-3, -3, 5, 3))
 # Rows labelled in a panel: more overprint into a blot, and the rows farthest out
 # carry the plane (Greenacre's contribution biplot); the others keep their dot.
 _LABELLED_ROWS = 100
@@ -220,8 +227,24 @@ def _frame(shares, legend: str, *body, defs: str = ""):
 
 
 def _extent(*coords: np.ndarray) -> float:
-    """The largest |coordinate| of any of the coordinate sets, or 1.0 if they are all 0."""
-    return max(float(max(c.max(), -c.min())) for c in coords) or 1.0
+    """The largest |coordinate| of any of the coordinate sets, or 1.0 if they are all 0;
+    InputError if the pixels to the unit that it gives, ``_HALF / extent``, are not finite."""
+    extent = max(float(max(c.max(), -c.min())) for c in coords) or 1.0
+    if not np.isfinite(_HALF / extent):
+        raise InputError(f"the largest |coordinate|, {extent:.3g}, has no finite pixel scale")
+    return extent
+
+
+def _pixels(coords: np.ndarray, unit: float) -> np.ndarray:
+    """The pixel positions of the n x 2 ``coords``, ``unit`` pixels to the unit from the centre."""
+    return coords * [unit, -unit] + [_CX, _CY]
+
+
+def _marks(mark, coords: np.ndarray, unit: float, labels):
+    """``mark``, ``_ARROW`` or ``_SQUARE``, with its label, for each row of ``coords``."""
+    template, (a, b, c, d) = mark
+    for (x, y), label in zip(_pixels(coords, unit).tolist(), labels, strict=True):
+        yield template % (x + a, y + b, x + c, y + d, _escape(label))
 
 
 def _row_dots(coords: np.ndarray, unit: float, labels):
@@ -237,7 +260,7 @@ def _row_dots(coords: np.ndarray, unit: float, labels):
             far = rows[np.argsort(-np.hypot(*coords[rows].T), kind="stable")[:_LABELLED_ROWS]]
         shown = sorted(far.tolist())
     for i in range(0, len(coords), _BLOCK):
-        xy = (coords[i:i + _BLOCK] * [unit, -unit] + [_CX, _CY]).ravel().tolist()  # x0, y0, x1, ..
+        xy = _pixels(coords[i:i + _BLOCK], unit).ravel().tolist()  # x0, y0, x1, ..
         template, args, r = "", [], 0  # r: the block's rows in template and args so far
         for j in [j - i for j in shown if i <= j < i + _BLOCK]:
             template += _DOT * (j + 1 - r) + _LABEL
@@ -246,51 +269,38 @@ def _row_dots(coords: np.ndarray, unit: float, labels):
         yield (template + _DOT * (len(xy) // 2 - r)) % (*args, *xy[2 * r:])
 
 
-def svg_lines(model: BiplotModel, quality: QualityReport, *, vector_scale: float | None = None):
+def svg_lines(model: BiplotModel, quality: QualityReport):
     """Text of the deterministic 2-D biplot, line by line and the row dots
-    in blocks: dots for rows, arrows from the origin for columns, axes
-    annotated with variance shares.
-    ``vector_scale=None`` scales the longest column marker to 40% of the
-    largest row coordinate. The model and the scale are checked when this
-    is called, before any line is generated."""
+    in blocks: dots for rows, arrows from the origin for columns, scaled so
+    that the longest is 40% of the largest row coordinate, and axes
+    annotated with variance shares. The model and the scale are checked
+    when this is called, before any line is generated."""
     if model.dims != 2:
         raise InputError(f"SVG rendering requires a 2-D model, got dims={model.dims}")
-    if vector_scale is not None and not 0 < vector_scale < float("inf"):
-        raise InputError(f"vector_scale must be finite and positive, got {vector_scale}")
     A, B = model.row_markers, model.col_markers
-    if vector_scale is None:
-        vector_scale = 0.4 * _extent(A) / (float(np.max(np.linalg.norm(B, axis=1))) or 1.0)
+    vector_scale = 0.4 * _extent(A) / (float(np.max(np.linalg.norm(B, axis=1))) or 1.0)
     B = B * vector_scale
     unit = _HALF / _extent(A, B)
-
-    def arrows():
-        for (x, y), label in zip((B * [unit, -unit] + [_CX, _CY]).tolist(), model.col_labels,
-                                 strict=True):
-            yield (f'<line class="arrow" x1="{_CX:.3f}" y1="{_CY:.3f}" '
-                   f'x2="{x:.3f}" y2="{y:.3f}" stroke="#cc0000" '
-                   f'stroke-width="1.5" marker-end="url(#head)"/>\n')
-            yield (f'<text class="col-label" x="{x + 4:.3f}" y="{y - 4:.3f}" '
-                   f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
-
     legend = (f'{method_name(model.gamma).upper()} biplot | '
               f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{vector_scale:.4g}')
     return _frame(model.axis_variance_shares() * 100.0, legend,
-                  arrows(), _row_dots(A, unit, model.row_labels), defs=_ARROW_HEAD)
+                  _marks(_ARROW, B, unit, model.col_labels), _row_dots(A, unit, model.row_labels),
+                  defs=_ARROW_HEAD)
 
 
-def render_svg(model: BiplotModel, quality: QualityReport, *,
-               vector_scale: float | None = None) -> str:
-    """The document of ``svg_lines(model, quality, vector_scale=...)``."""
-    return "".join(svg_lines(model, quality, vector_scale=vector_scale))
+def render_svg(model: BiplotModel, quality: QualityReport) -> str:
+    """The document of ``svg_lines(model, quality)``."""
+    return "".join(svg_lines(model, quality))
 
 
 def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
-                       shares: tuple[float, float] | None = None, *,
+                       shares: np.ndarray | None = None, *,
                        col_coords: np.ndarray | None = None,
                        col_labels: tuple[str, ...] = ()) -> str:
     """Deterministic scatter panel for the baseline methods: the biplot's
-    row dots without its arrows. Column coordinates, if given, are drawn
-    as squares on the same scale, each labelled from ``col_labels``."""
+    row dots without its arrows, and the axis labels when ``shares`` (percent
+    per axis) is given. Column coordinates, if given, are drawn as squares
+    on the same scale, each labelled from ``col_labels``."""
     sets = [as_matrix(coords, "coords")]
     if col_coords is not None:
         sets.append(as_matrix(col_coords, "col_coords"))
@@ -301,14 +311,5 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
             raise InputError(f"scatter rendering needs one label per point, "
                              f"got {len(names)} labels for {len(pts)} points")
     unit = _HALF / _extent(*sets)
-
-    def squares(c):
-        for (x, y), label in zip((c * [unit, -unit] + [_CX, _CY]).tolist(), col_labels,
-                                 strict=True):
-            yield (f'<rect class="col-dot" x="{x - 3:.3f}" y="{y - 3:.3f}" '
-                   f'width="6" height="6" fill="#cc0000"/>\n')
-            yield (f'<text class="col-label" x="{x + 5:.3f}" y="{y + 3:.3f}" '
-                   f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
-
     return "".join(_frame(shares, title, _row_dots(sets[0], unit, labels),
-                          *map(squares, sets[1:])))
+                          *(_marks(_SQUARE, c, unit, col_labels) for c in sets[1:])))

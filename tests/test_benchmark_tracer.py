@@ -37,3 +37,9 @@ def test_tracer_sees_the_report_writers(tmp_path):
                            ("report.render_svg", "case1_jk.svg")):
         size = (tmp_path / artifact).stat().st_size
         assert [c["bytes"] for c in _counters(spans, name)] == [size]
+
+
+def test_tracer_sees_the_fits_one_svd(tmp_path):
+    # The fit takes the SVD of R, the triangular factor of X: 8 x 8 for case 1's 21 x 8 table.
+    spans = _traced_spans(tmp_path, "case", "1", "--json", "r.json", "--svg", "p.svg")
+    assert _counters(spans, "linalg.svd") == [{"cells": 64}]

@@ -570,5 +570,28 @@ def test_case_dump_csv_writes_the_embedded_text(tmp_path, case_id):
     assert out.read_bytes() == case_csv(case_id).encode("utf-8")
 
 
+@pytest.mark.parametrize("outputs, named", [(["--json", "r.json"], "--json"),
+                                            (["--svg", "p.svg"], "--svg"),
+                                            (["--json", "r.json", "--svg", "p.svg"],
+                                             "--json or --svg")])
+def test_case_dump_csv_with_other_outputs_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                     monkeypatch, outputs, named):
+    monkeypatch.chdir(tmp_path)
+    assert main(["case", "1", "--dump-csv", "c1.csv", *outputs]) == 2
+    assert capsys.readouterr().err == f"error: --dump-csv cannot be combined with {named}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "case"])
+def test_json_and_svg_naming_one_file_exits_2_and_writes_nothing(tmp_path, case1_csv, capsys,
+                                                                 monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    argv = ["analyze", str(case1_csv)] if command == "analyze" else ["case", "1"]
+    assert main([*argv, "--json", "same", "--svg", str(tmp_path / "sub" / ".." / "same")]) == 2
+    same = (tmp_path / "same").resolve()
+    assert capsys.readouterr().err == f"error: two outputs name the same file, {same}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["case1.csv"]
+
+
 def test_every_exported_name_resolves():
     assert [name for name in biplot.__all__ if not hasattr(biplot, name)] == []

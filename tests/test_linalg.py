@@ -201,6 +201,16 @@ def test_zscore_at_any_layout_and_row_block_r_factor_equal_numpy(p, crossed, fra
         assert np.max(np.abs(V - ref.V)) <= 1e-10
 
 
+def test_right_svd_is_svd_of_r_with_the_rank_at_the_shape_of_x():
+    """The second singular value, 1e-10 of the first, is above the rank
+    tolerance at R's 2 x 2 shape and below it at X's 1000 x 2."""
+    x = np.linalg.qr(np.random.default_rng(4).normal(size=(1000, 2)))[0] * [1.0, 1e-10]
+    sigma, V, rank = right_svd(x)
+    res = svd(linalg.r_factor(x))
+    assert np.array_equal(sigma, res.sigma) and np.array_equal(V, res.V)
+    assert res.rank == 2 and rank == svd(x).rank == 1
+
+
 def test_right_svd_failure_is_a_numerical_error(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

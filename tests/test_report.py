@@ -182,24 +182,6 @@ def test_svg_requires_two_dims():
         render_svg(m, quality(m, x))
 
 
-def test_vector_scale_changes_svg_not_report():
-    t, m, q, rep1 = full_report(2)
-    svg_a = render_svg(m, q, vector_scale=1.0)
-    svg_b = render_svg(m, q, vector_scale=2.0)
-    _, _, rep2 = analyze(t)
-    assert svg_a != svg_b
-    assert rep1.to_json() == rep2.to_json()
-
-
-def test_vector_scale_must_be_positive():
-    _, m, q = fitted_case(1)
-    for scale in (0.0, float("inf"), float("-inf")):
-        with pytest.raises(InputError, match="finite and positive"):
-            render_svg(m, q, vector_scale=scale)
-        with pytest.raises(InputError, match="finite and positive"):
-            svg_lines(m, q, vector_scale=scale)
-
-
 def test_scatter_needs_one_label_per_point():
     rows, cols = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.5, 0.5]])
     svg = render_scatter_svg(rows, ("a", "b"), "t", col_coords=cols, col_labels=("c",))
@@ -230,8 +212,7 @@ def test_scatter_needs_finite_nonempty_coordinates():
 def _reference_rows(coords, labels, *more_coords):
     """The row dots of ``coords`` as the per-row writer draws them, on the
     scale shared with ``more_coords``."""
-    unit = _HALF / (max(float(np.max(np.abs(c))) for c in (coords, *more_coords)) or 1.0)
-    points = zip((_CX + coords[:, 0] * unit).tolist(), (_CY - coords[:, 1] * unit).tolist())
+    points = _pixels(coords, *more_coords).tolist()
     far = sorted(range(len(coords)), key=lambda i: (-math.hypot(*coords[i].tolist()), i))
     shown = set(far[:_LABELLED])
     out = []
@@ -241,6 +222,39 @@ def _reference_rows(coords, labels, *more_coords):
             out.append(f'<text class="row-label" x="{_fmt(x + 5)}" y="{_fmt(y + 3)}" '
                        f'font-size="11" fill="#003366">{_escape(label)}</text>\n')
     return "".join(out)
+
+
+def _arrow_tips(model):
+    """The column markers as the biplot draws them: the longest at 40% of the
+    largest row coordinate."""
+    B = model.col_markers
+    return B * (0.4 * float(np.max(np.abs(model.row_markers)))
+                / float(np.max(np.linalg.norm(B, axis=1))))
+
+
+def _reference_cols(points, labels, arrows):
+    """The column layer as the per-column writer draws it, at the pixel
+    ``points``: an arrow from the centre with its label, or a square."""
+    out = []
+    for (x, y), label in zip(points.tolist(), labels, strict=True):
+        if arrows:
+            out.append(f'<line class="arrow" x1="{_fmt(_CX)}" y1="{_fmt(_CY)}" '
+                       f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#cc0000" '
+                       f'stroke-width="1.5" marker-end="url(#head)"/>\n')
+            x, y = x + 4, y - 4
+        else:
+            out.append(f'<rect class="col-dot" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
+                       f'width="6" height="6" fill="#cc0000"/>\n')
+            x, y = x + 5, y + 3
+        out.append(f'<text class="col-label" x="{_fmt(x)}" y="{_fmt(y)}" '
+                   f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
+    return "".join(out)
+
+
+def _pixels(coords, *sets):
+    """``coords`` in pixels, on the scale every panel shares with ``sets``."""
+    unit = _HALF / (max(float(np.max(np.abs(c))) for c in (coords, *sets)) or 1.0)
+    return np.column_stack((_CX + coords[:, 0] * unit, _CY - coords[:, 1] * unit))
 
 
 def _assert_row_layer(svg, reference):
@@ -255,6 +269,22 @@ def _assert_row_layer(svg, reference):
 
 
 @pytest.mark.parametrize("odd", [None, "&", "<", "\x01", "\ufffe"])
+@pytest.mark.parametrize("gamma", [1.0, 0.0])
+def test_column_layers_match_per_column_writer(gamma, odd):
+    col_labels = ("a", "b", "c" if odd is None else f"x{odd}y")
+    x = np.random.default_rng(5).normal(size=(30, 3))
+    m = fit_biplot(x, gamma, 2, col_labels=col_labels)
+    svg = render_svg(m, quality(m, x))
+    layer = svg[svg.index('<line class="arrow"'):svg.index('<circle class="dot"')]
+    assert layer == _reference_cols(_pixels(_arrow_tips(m), m.row_markers), col_labels, True)
+    for cols in (x[:3, 1:] * 4.0, x[:3, 1:] / 4.0):  # the squares set the scale, then the rows
+        svg = render_scatter_svg(x[:, :2], tuple(map(str, range(30))), "t", col_coords=cols,
+                                 col_labels=col_labels)
+        layer = svg[svg.index('<rect class="col-dot"'):svg.index('<text class="legend"')]
+        assert layer == _reference_cols(_pixels(cols, x[:, :2]), col_labels, False)
+
+
+@pytest.mark.parametrize("odd", [None, "&", "<", "\x01", "\ufffe"])
 @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
 def test_row_blocks_match_per_row_writer(n, odd):
     labels = [f"r{i}" for i in range(n)]
@@ -263,8 +293,8 @@ def test_row_blocks_match_per_row_writer(n, odd):
     x = np.random.default_rng(n).normal(size=(n, 3))
     x[-1] *= 10.0  # the last row is labelled: it lies farthest out in both panels
     m = fit_biplot(x, 1.0, 2, row_labels=tuple(labels), col_labels=("a", "b", "c"))
-    svg = render_svg(m, quality(m, x), vector_scale=1.5)
-    _assert_row_layer(svg, _reference_rows(m.row_markers, labels, m.col_markers * 1.5))
+    svg = render_svg(m, quality(m, x))
+    _assert_row_layer(svg, _reference_rows(m.row_markers, labels, _arrow_tips(m)))
     assert f">{_escape(labels[-1])}</text>" in svg
     cols = x[:3, 1:] * 4.0
     svg = render_scatter_svg(x[:, :2], tuple(labels), "t", col_coords=cols,
@@ -318,12 +348,21 @@ _COORD = st.floats(allow_nan=False, allow_infinity=False)
 def test_row_layer_matches_per_row_writer(rows):
     coords = np.array([r[:2] for r in rows], dtype=float)
     labels = tuple(r[2] for r in rows)
-    # A subnormal largest coordinate makes the scale infinite; both writers
-    # then draw the same nan and inf positions.
-    with np.errstate(all="ignore"):
-        svg = render_scatter_svg(coords, labels, "t")
-        reference = _reference_rows(coords, labels)
-    _assert_row_layer(svg, reference)
+    extent = float(np.max(np.abs(coords))) or 1.0
+    if not math.isfinite(_HALF / extent):  # a subnormal largest coordinate: no pixel scale
+        with pytest.raises(InputError, match=r"^the largest \|coordinate\|, .* has no finite"):
+            render_scatter_svg(coords, labels, "t")
+        return
+    _assert_row_layer(render_scatter_svg(coords, labels, "t"), _reference_rows(coords, labels))
+
+
+def test_coordinates_too_small_for_a_pixel_scale_are_refused():
+    tiny = np.array([[5e-324, 0.0], [0.0, 1e-320]])
+    with pytest.raises(InputError, match=r"^the largest \|coordinate\|, 1e-320, has no finite"):
+        render_scatter_svg(tiny, ("a", "b"), "t")
+    m = fit_biplot(tiny, 1.0, 2)
+    with pytest.raises(InputError, match=r"^the largest \|coordinate\|, .* has no finite"):
+        svg_lines(m, quality(m, tiny))
 
 
 # The JSON writer: strict JSON that reads back to the document, with
