@@ -34,12 +34,7 @@ def _read_table(path: str) -> DataTable:
 def _write_all(artifacts: list) -> None:
     """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str.
     If one fails, remove every file this call made, so a failed command
-    leaves no artifact behind. A path that cannot be written, or that
-    resolves to the file of an earlier artifact, is an InputError; the
-    latter is refused before any file is opened."""
-    paths = [Path(path).resolve() for path, _ in artifacts]
-    if len(set(paths)) < len(paths):
-        raise InputError(f"two outputs name the same file, {max(paths, key=paths.count)}")
+    leaves no artifact behind. A path that cannot be written is an InputError."""
     made = []
     try:
         try:
@@ -55,24 +50,30 @@ def _write_all(artifacts: list) -> None:
         raise
 
 
-def _analyze(table: DataTable, args, gamma: float, dims: int, scale: str) -> int:
-    """Run the pipeline on ``table``, just parsed and handed over, stream the ``--json``
-    report and the ``--svg`` plot to their files, and print the overall fit."""
-    model, qual, rep = report.analyze(table, gamma, dims, scale, overwrite_table=True)
+def _analyze(args, read_table, **options) -> int:
+    """Refuse a ``--json`` and ``--svg`` naming one file, then run ``report.analyze`` with
+    ``options`` on the table ``read_table()`` hands over, write the artifacts, print the fit."""
+    if args.json and args.svg and Path(args.json).resolve() == Path(args.svg).resolve():
+        raise InputError(f"two outputs name the same file, {Path(args.json).resolve()}")
+    table = read_table()
+    model, qual, rep = report.analyze(table, **options, overwrite_table=True)
     artifacts = []
     if args.json:
         artifacts.append((args.json, rep.json_lines()))
     if args.svg:
         artifacts.append((args.svg, report.svg_lines(model, qual)))
     _write_all(artifacts)
-    print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} "
-          f"({report.method_name(gamma)}, dims={model.dims}, scale={scale})")
+    print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} ({rep.method['name']}, "
+          f"dims={rep.method['dims']}, scale={rep.preprocess['mode']})")
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
+    if args.type is not None and args.gamma is not None:
+        raise InputError("--type and --gamma are mutually exclusive")
     gamma = args.gamma if args.gamma is not None else GAMMA_BY_TYPE[args.type or "jk"]
-    return _analyze(_read_table(args.input), args, gamma, args.dims, args.scale)
+    return _analyze(args, lambda: _read_table(args.input),
+                    gamma=gamma, dims=args.dims, scale=args.scale)
 
 
 # Each panel maps (table, fit) to (report JSON, SVG, 2-D share). ``fit``
@@ -143,7 +144,6 @@ def _slug(name: str) -> str:
 
 
 def _cmd_compare(args) -> int:
-    table = _read_table(args.input)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise InputError("--methods must name at least one method")
@@ -152,6 +152,7 @@ def _cmd_compare(args) -> int:
             raise InputError(f"unknown method {m!r}; choose from {', '.join(_PANELS)}")
         if methods.count(m) > 1:
             raise InputError(f"method {m!r} is named more than once in --methods")
+    table = _read_table(args.input)
     if "ca" in methods and table.shape[1] < 3:  # refused before any work
         baselines.ca_input(table)  # whose refusal comes first, as in the panel
         raise InputError(f"the ca panel needs at least 3 columns for its two axes, and "
@@ -159,7 +160,7 @@ def _cmd_compare(args) -> int:
                          "leave it out with --methods jk,pca,mds")
     # The table is not handed over: the ca panel reads its values after the fit.
     fit = functools.cache(lambda: report.analyze(table))
-    # Every panel is built before any file is written.
+    # Every panel is built before any file is written, each to its own files (methods are distinct).
     panels = [(m, *_PANELS[m](table, fit)) for m in methods]
     summary = [{"method": m, "share_2d": share} for m, _, _, share in panels]
     out_dir = Path(args.out)
@@ -186,7 +187,7 @@ def _cmd_case(args) -> int:
         _write_all([(args.dump_csv, [case_csv(args.case_id)])])
         print(f"wrote {args.dump_csv}")
         return EXIT_OK
-    return _analyze(load_case(args.case_id), args, gamma=1.0, dims=2, scale="zscore")
+    return _analyze(args, lambda: load_case(args.case_id))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="fit a biplot to a CSV table")
     p.add_argument("input")
-    p.add_argument("--type", choices=("jk", "gh", "sqrt"))
+    p.add_argument("--type", choices=tuple(GAMMA_BY_TYPE))
     p.add_argument("--gamma", type=float)
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--scale", choices=("none", "center", "zscore"), default="zscore")
@@ -225,9 +226,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    if args.command == "analyze" and args.type is not None and args.gamma is not None:
-        print("error: --type and --gamma are mutually exclusive", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except InputError as exc:

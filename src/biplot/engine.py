@@ -100,22 +100,22 @@ def fit_biplot(x, gamma: float, dims: int = 2,
                        row_labels=row_labels, col_labels=col_labels)
 
 
+GAMMA_BY_TYPE = {"jk": 1.0, "gh": 0.0, "sqrt": 0.5}
+
+
 def jk(x, dims: int = 2, **kw) -> BiplotModel:
     """Row metric preserving biplot: A = U diag(sigma), B = V."""
-    return fit_biplot(x, gamma=1.0, dims=dims, **kw)
+    return fit_biplot(x, gamma=GAMMA_BY_TYPE["jk"], dims=dims, **kw)
 
 
 def gh(x, dims: int = 2, **kw) -> BiplotModel:
     """Column metric preserving biplot: A = U, B = V diag(sigma)."""
-    return fit_biplot(x, gamma=0.0, dims=dims, **kw)
+    return fit_biplot(x, gamma=GAMMA_BY_TYPE["gh"], dims=dims, **kw)
 
 
 def sqrt_biplot(x, dims: int = 2, **kw) -> BiplotModel:
     """Symmetric biplot: both marker sets carry sqrt(sigma)."""
-    return fit_biplot(x, gamma=0.5, dims=dims, **kw)
-
-
-GAMMA_BY_TYPE = {"jk": 1.0, "gh": 0.0, "sqrt": 0.5}
+    return fit_biplot(x, gamma=GAMMA_BY_TYPE["sqrt"], dims=dims, **kw)
 
 
 def quality(model: BiplotModel, x) -> QualityReport:

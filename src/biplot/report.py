@@ -257,7 +257,8 @@ def _row_dots(coords: np.ndarray, unit: float, labels):
         far = np.empty(0, dtype=np.intp)  # the farthest rows so far, farthest first
         for i in range(0, len(coords), _BLOCK):  # far's earlier rows win ties by the stable sort
             rows = np.concatenate((far, np.arange(i, min(i + _BLOCK, len(coords)))))
-            far = rows[np.argsort(-np.hypot(*coords[rows].T), kind="stable")[:_LABELLED_ROWS]]
+            half = coords[rows] * 0.5  # an exact scale: hypot stays finite up to the largest float
+            far = rows[np.argsort(-np.hypot(*half.T), kind="stable")[:_LABELLED_ROWS]]
         shown = sorted(far.tolist())
     for i in range(0, len(coords), _BLOCK):
         xy = _pixels(coords[i:i + _BLOCK], unit).ravel().tolist()  # x0, y0, x1, ..

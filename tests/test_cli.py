@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biplot
-from biplot import linalg, report
+from biplot import cli, linalg, report
 from biplot.baselines import classical_mds
 from biplot.cli import main
 from biplot.data import (DataTable, case_csv, load_case, parse_table, preprocess,
@@ -591,6 +591,32 @@ def test_json_and_svg_naming_one_file_exits_2_and_writes_nothing(tmp_path, case1
     same = (tmp_path / "same").resolve()
     assert capsys.readouterr().err == f"error: two outputs name the same file, {same}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["case1.csv"]
+
+
+_SAME = "two outputs name the same file, {same}"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["analyze", "t.csv", "--json", "same", "--svg", "same"], _SAME),
+    (["case", "1", "--json", "same", "--svg", "same"], _SAME),
+    (["analyze", "t.csv", "--type", "jk", "--gamma", "0.3"],
+     "--type and --gamma are mutually exclusive"),
+    (["compare", "t.csv", "--methods", "jk,tsne"],
+     "unknown method 'tsne'; choose from jk, pca, mds, ca"),
+    (["compare", "t.csv", "--methods", "jk,pca, jk"],
+     "method 'jk' is named more than once in --methods"),
+    (["compare", "t.csv", "--methods", ","], "--methods must name at least one method")],
+    ids=["analyze-same-file", "case-same-file", "type-and-gamma", "unknown-method",
+         "repeated-method", "no-method"])
+def test_a_refused_request_reads_no_table(tmp_path, capsys, monkeypatch, argv, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text(case_csv(1), encoding="utf-8")
+    monkeypatch.setattr(cli, "parse_table", mock.Mock(side_effect=AssertionError("read")))
+    monkeypatch.setattr(cli, "load_case", mock.Mock(side_effect=AssertionError("read")))
+    assert main(argv) == 2
+    same = (tmp_path / "same").resolve()
+    assert capsys.readouterr().err == "error: " + err.format(same=same) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_every_exported_name_resolves():

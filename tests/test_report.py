@@ -340,6 +340,18 @@ def test_a_tie_at_the_last_label_across_blocks_goes_to_the_earlier_row():
     assert drawn == ["r5", *(f"r{i}" for i in range(_BLOCK + 10, _BLOCK + 109))]
 
 
+@pytest.mark.parametrize("first", [1e307, 1.3e308])
+def test_rows_farther_out_than_the_largest_float_are_ranked_without_overflow(first):
+    # From row 125 on (from row 0 when first is 1.3e308), hypot of the raw coordinates
+    # overflows to inf; the labels still go to the 100 rows farthest out, not by row order.
+    coords = np.repeat(np.linspace(first, 1.5e308, 150)[:, None], 2, axis=1)
+    labels = tuple(f"r{i}" for i in range(150))
+    svg = render_scatter_svg(coords, labels, "t")  # pytest turns a RuntimeWarning into an error
+    assert svg.count("<circle") == 150
+    drawn = re.findall(r'class="row-label"[^>]*>(r\d+)</text>', svg)
+    assert drawn == [f"r{i}" for i in range(50, 150)]
+
+
 _COORD = st.floats(allow_nan=False, allow_infinity=False)
 
 
