@@ -50,11 +50,15 @@ def _write_all(artifacts: list) -> None:
         raise
 
 
-def _analyze(args, read_table, **options) -> int:
-    """Refuse a ``--json`` and ``--svg`` naming one file, then run ``report.analyze`` with
-    ``options`` on the table ``read_table()`` hands over, write the artifacts, print the fit."""
-    if args.json and args.svg and Path(args.json).resolve() == Path(args.svg).resolve():
-        raise InputError(f"two outputs name the same file, {Path(args.json).resolve()}")
+def _analyze(args, read_table, source=None, **options) -> int:
+    """Refuse a ``--json`` and ``--svg`` naming one file, or either naming the ``source``
+    table, then run ``report.analyze`` with ``options`` on the table ``read_table()``
+    hands over, write the artifacts, print the fit."""
+    outputs = [Path(path).resolve() for path in (args.json, args.svg) if path]
+    if len(outputs) == 2 and outputs[0] == outputs[1]:
+        raise InputError(f"two outputs name the same file, {outputs[0]}")
+    if source is not None and Path(source).resolve() in outputs:
+        raise InputError(f"an output names the input table, {Path(source).resolve()}")
     table = read_table()
     model, qual, rep = report.analyze(table, **options, overwrite_table=True)
     artifacts = []
@@ -72,7 +76,7 @@ def _cmd_analyze(args) -> int:
     if args.type is not None and args.gamma is not None:
         raise InputError("--type and --gamma are mutually exclusive")
     gamma = args.gamma if args.gamma is not None else GAMMA_BY_TYPE[args.type or "jk"]
-    return _analyze(args, lambda: _read_table(args.input),
+    return _analyze(args, lambda: _read_table(args.input), args.input,
                     gamma=gamma, dims=args.dims, scale=args.scale)
 
 

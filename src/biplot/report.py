@@ -180,18 +180,20 @@ _ARROW_HEAD = ('<defs><marker id="head" markerWidth="8" markerHeight="8" refX="6
 _NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
 # Rows formatted per piece by the SVG and JSON writers; ``%.3f`` writes the text of ``:.3f``.
 _BLOCK = 4096
-_DOT = '<circle class="dot" cx="%.3f" cy="%.3f" r="3" fill="#003366"/>\n'
-_LABEL = '<text class="row-label" x="%.3f" y="%.3f" font-size="11" fill="#003366">%s</text>\n'
-# A column's mark and label: the template of (mark x, mark y, label x, label y, label)
-# and the offsets of those four positions from the column's pixel position.
+# Each mark: its template, its offset from the point's pixel position, its label's
+# template and the label's offset from the mark. Every pixel position is at least
+# 60, so the mark's offset is exact and the label's position is rounded once.
+_DOT = ('<circle class="dot" cx="%.3f" cy="%.3f" r="3" fill="#003366"/>\n', (0, 0),
+        '<text class="row-label" x="%.3f" y="%.3f" font-size="11" fill="#003366">%s</text>\n',
+        (5, 3))
 _COL_LABEL = '<text class="col-label" x="%.3f" y="%.3f" font-size="11" fill="#cc0000">%s</text>\n'
 _ARROW = (f'<line class="arrow" x1="{_CX:.3f}" y1="{_CY:.3f}" x2="%.3f" y2="%.3f" stroke="#cc0000" '
-          'stroke-width="1.5" marker-end="url(#head)"/>\n' + _COL_LABEL, (0, 0, 4, -4))
-_SQUARE = ('<rect class="col-dot" x="%.3f" y="%.3f" width="6" height="6" fill="#cc0000"/>\n'
-           + _COL_LABEL, (-3, -3, 5, 3))
-# Rows labelled in a panel: more overprint into a blot, and the rows farthest out
-# carry the plane (Greenacre's contribution biplot); the others keep their dot.
-_LABELLED_ROWS = 100
+          'stroke-width="1.5" marker-end="url(#head)"/>\n', (0, 0), _COL_LABEL, (4, -4))
+_SQUARE = ('<rect class="col-dot" x="%.3f" y="%.3f" width="6" height="6" fill="#cc0000"/>\n',
+           (-3, -3), _COL_LABEL, (8, 6))
+# Marks labelled in a layer: more overprint into a blot, and the points farthest out
+# carry the plane (Greenacre's contribution biplot); the others keep their mark.
+_LABELLED = 100
 
 
 def _escape(text: str) -> str:
@@ -235,44 +237,36 @@ def _extent(*coords: np.ndarray) -> float:
     return extent
 
 
-def _pixels(coords: np.ndarray, unit: float) -> np.ndarray:
-    """The pixel positions of the n x 2 ``coords``, ``unit`` pixels to the unit from the centre."""
-    return coords * [unit, -unit] + [_CX, _CY]
-
-
 def _marks(mark, coords: np.ndarray, unit: float, labels):
-    """``mark``, ``_ARROW`` or ``_SQUARE``, with its label, for each row of ``coords``."""
-    template, (a, b, c, d) = mark
-    for (x, y), label in zip(_pixels(coords, unit).tolist(), labels, strict=True):
-        yield template % (x + a, y + b, x + c, y + d, _escape(label))
-
-
-def _row_dots(coords: np.ndarray, unit: float, labels):
-    """A dot for each row of the n x 2 ``coords``, ``unit`` pixels to the unit from the
-    centre, in every panel, as one string per block of ``_BLOCK`` rows; the
-    ``_LABELLED_ROWS`` rows farthest from the origin, ties in row order, have their
-    label after their dot. Each pass holds one block of rows beyond the labelled ones."""
+    """``mark`` (``_DOT``, ``_ARROW`` or ``_SQUARE``) for each row of the n x 2 ``coords``,
+    ``unit`` pixels to the unit from the centre, as one string per block of ``_BLOCK``
+    rows; the ``_LABELLED`` rows farthest from the origin, ties in row order, have their
+    label after their mark. Each pass holds one block of rows beyond the labelled ones."""
+    template, offset, label, (dx, dy) = mark
     shown = range(len(coords))
-    if len(coords) > _LABELLED_ROWS:  # not below: a sort pages ~0.2 MB of code into the process
+    if len(coords) > _LABELLED:  # not below: a sort pages ~0.2 MB of code into the process
         far = np.empty(0, dtype=np.intp)  # the farthest rows so far, farthest first
         for i in range(0, len(coords), _BLOCK):  # far's earlier rows win ties by the stable sort
             rows = np.concatenate((far, np.arange(i, min(i + _BLOCK, len(coords)))))
             half = coords[rows] * 0.5  # an exact scale: hypot stays finite up to the largest float
-            far = rows[np.argsort(-np.hypot(*half.T), kind="stable")[:_LABELLED_ROWS]]
+            far = rows[np.argsort(-np.hypot(*half.T), kind="stable")[:_LABELLED]]
         shown = sorted(far.tolist())
     for i in range(0, len(coords), _BLOCK):
-        xy = _pixels(coords[i:i + _BLOCK], unit).ravel().tolist()  # x0, y0, x1, ..
-        template, args, r = "", [], 0  # r: the block's rows in template and args so far
+        xy = coords[i:i + _BLOCK] * [unit, -unit] + [_CX, _CY]
+        xy += offset  # after the placement, in place: folded into it, the rounding would change
+        xy = xy.ravel().tolist()  # x0, y0, x1, ..
+        text, args, r = "", [], 0  # r: the block's rows in text and args so far
         for j in [j - i for j in shown if i <= j < i + _BLOCK]:
-            template += _DOT * (j + 1 - r) + _LABEL
-            args += [*xy[2 * r:2 * j + 2], xy[2 * j] + 5, xy[2 * j + 1] + 3, _escape(labels[i + j])]
+            text += template * (j + 1 - r) + label
+            x, y = xy[2 * j:2 * j + 2]
+            args += [*xy[2 * r:2 * j + 2], x + dx, y + dy, _escape(labels[i + j])]
             r = j + 1
-        yield (template + _DOT * (len(xy) // 2 - r)) % (*args, *xy[2 * r:])
+        yield (text + template * (len(xy) // 2 - r)) % (*args, *xy[2 * r:])
 
 
 def svg_lines(model: BiplotModel, quality: QualityReport):
-    """Text of the deterministic 2-D biplot, line by line and the row dots
-    in blocks: dots for rows, arrows from the origin for columns, scaled so
+    """Text of the deterministic 2-D biplot, line by line and each layer of
+    marks in blocks: dots for rows, arrows from the origin for columns, scaled so
     that the longest is 40% of the largest row coordinate, and axes
     annotated with variance shares. The model and the scale are checked
     when this is called, before any line is generated."""
@@ -285,8 +279,8 @@ def svg_lines(model: BiplotModel, quality: QualityReport):
     legend = (f'{method_name(model.gamma).upper()} biplot | '
               f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{vector_scale:.4g}')
     return _frame(model.axis_variance_shares() * 100.0, legend,
-                  _marks(_ARROW, B, unit, model.col_labels), _row_dots(A, unit, model.row_labels),
-                  defs=_ARROW_HEAD)
+                  _marks(_ARROW, B, unit, model.col_labels),
+                  _marks(_DOT, A, unit, model.row_labels), defs=_ARROW_HEAD)
 
 
 def render_svg(model: BiplotModel, quality: QualityReport) -> str:
@@ -301,7 +295,7 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
     """Deterministic scatter panel for the baseline methods: the biplot's
     row dots without its arrows, and the axis labels when ``shares`` (percent
     per axis) is given. Column coordinates, if given, are drawn as squares
-    on the same scale, each labelled from ``col_labels``."""
+    on the same scale and labelled from ``col_labels`` as the rows are."""
     sets = [as_matrix(coords, "coords")]
     if col_coords is not None:
         sets.append(as_matrix(col_coords, "col_coords"))
@@ -312,5 +306,5 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
             raise InputError(f"scatter rendering needs one label per point, "
                              f"got {len(names)} labels for {len(pts)} points")
     unit = _HALF / _extent(*sets)
-    return "".join(_frame(shares, title, _row_dots(sets[0], unit, labels),
+    return "".join(_frame(shares, title, _marks(_DOT, sets[0], unit, labels),
                           *(_marks(_SQUARE, c, unit, col_labels) for c in sets[1:])))

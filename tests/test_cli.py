@@ -599,6 +599,8 @@ _SAME = "two outputs name the same file, {same}"
 @pytest.mark.parametrize("argv, err", [
     (["analyze", "t.csv", "--json", "same", "--svg", "same"], _SAME),
     (["case", "1", "--json", "same", "--svg", "same"], _SAME),
+    (["analyze", "t.csv", "--json", "report.json", "--svg", "./t.csv"],
+     "an output names the input table, {table}"),
     (["analyze", "t.csv", "--type", "jk", "--gamma", "0.3"],
      "--type and --gamma are mutually exclusive"),
     (["compare", "t.csv", "--methods", "jk,tsne"],
@@ -606,17 +608,19 @@ _SAME = "two outputs name the same file, {same}"
     (["compare", "t.csv", "--methods", "jk,pca, jk"],
      "method 'jk' is named more than once in --methods"),
     (["compare", "t.csv", "--methods", ","], "--methods must name at least one method")],
-    ids=["analyze-same-file", "case-same-file", "type-and-gamma", "unknown-method",
-         "repeated-method", "no-method"])
+    ids=["analyze-same-file", "case-same-file", "output-is-input", "type-and-gamma",
+         "unknown-method", "repeated-method", "no-method"])
 def test_a_refused_request_reads_no_table(tmp_path, capsys, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "t.csv").write_text(case_csv(1), encoding="utf-8")
+    table = tmp_path / "t.csv"
+    table.write_text(case_csv(1), encoding="utf-8")
     monkeypatch.setattr(cli, "parse_table", mock.Mock(side_effect=AssertionError("read")))
     monkeypatch.setattr(cli, "load_case", mock.Mock(side_effect=AssertionError("read")))
     assert main(argv) == 2
-    same = (tmp_path / "same").resolve()
-    assert capsys.readouterr().err == "error: " + err.format(same=same) + "\n"
+    same, table_path = (tmp_path / "same").resolve(), table.resolve()
+    assert capsys.readouterr().err == "error: " + err.format(same=same, table=table_path) + "\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert table.read_text(encoding="utf-8") == case_csv(1)
 
 
 def test_every_exported_name_resolves():

@@ -16,7 +16,7 @@ from biplot.errors import InputError
 from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, analyze, dumps,
                            method_name, render_scatter_svg, render_svg, svg_lines)
 
-_LABELLED = 100  # rows that carry a label in a panel
+_LABELLED = 100  # rows, or columns, that carry a label in a layer
 
 
 def _fmt(v: float) -> str:
@@ -205,16 +205,21 @@ def test_scatter_needs_finite_nonempty_coordinates():
         render_scatter_svg(np.zeros((0, 2)), (), "t")
 
 
-# The row layer, written in blocks, against a per-row writer: one
-# f-string per element, and ``_escape`` on each label drawn. A label is
-# drawn on the 100 rows farthest from the origin, ties in row order.
+# Each layer, written in blocks, against a per-point writer: one f-string
+# per element, and ``_escape`` on each label drawn. A label is drawn on the
+# 100 points farthest from the origin, ties in row order.
+
+def _labelled(coords):
+    """The rows of ``coords`` that carry a label."""
+    far = sorted(range(len(coords)), key=lambda i: (-math.hypot(*coords[i].tolist()), i))
+    return set(far[:_LABELLED])
+
 
 def _reference_rows(coords, labels, *more_coords):
     """The row dots of ``coords`` as the per-row writer draws them, on the
     scale shared with ``more_coords``."""
     points = _pixels(coords, *more_coords).tolist()
-    far = sorted(range(len(coords)), key=lambda i: (-math.hypot(*coords[i].tolist()), i))
-    shown = set(far[:_LABELLED])
+    shown = _labelled(coords)
     out = []
     for i, ((x, y), label) in enumerate(zip(points, labels, strict=True)):
         out.append(f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#003366"/>\n')
@@ -232,11 +237,13 @@ def _arrow_tips(model):
                 / float(np.max(np.linalg.norm(B, axis=1))))
 
 
-def _reference_cols(points, labels, arrows):
-    """The column layer as the per-column writer draws it, at the pixel
-    ``points``: an arrow from the centre with its label, or a square."""
+def _reference_cols(coords, labels, arrows, *more_coords):
+    """The column layer of ``coords`` as the per-column writer draws it, on the
+    scale shared with ``more_coords``: an arrow from the centre, or a square."""
+    points = _pixels(coords, *more_coords).tolist()
+    shown = _labelled(coords)
     out = []
-    for (x, y), label in zip(points.tolist(), labels, strict=True):
+    for i, ((x, y), label) in enumerate(zip(points, labels, strict=True)):
         if arrows:
             out.append(f'<line class="arrow" x1="{_fmt(_CX)}" y1="{_fmt(_CY)}" '
                        f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#cc0000" '
@@ -246,8 +253,9 @@ def _reference_cols(points, labels, arrows):
             out.append(f'<rect class="col-dot" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
                        f'width="6" height="6" fill="#cc0000"/>\n')
             x, y = x + 5, y + 3
-        out.append(f'<text class="col-label" x="{_fmt(x)}" y="{_fmt(y)}" '
-                   f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
+        if i in shown:
+            out.append(f'<text class="col-label" x="{_fmt(x)}" y="{_fmt(y)}" '
+                       f'font-size="11" fill="#cc0000">{_escape(label)}</text>\n')
     return "".join(out)
 
 
@@ -271,17 +279,20 @@ def _assert_row_layer(svg, reference):
 @pytest.mark.parametrize("odd", [None, "&", "<", "\x01", "\ufffe"])
 @pytest.mark.parametrize("gamma", [1.0, 0.0])
 def test_column_layers_match_per_column_writer(gamma, odd):
-    col_labels = ("a", "b", "c" if odd is None else f"x{odd}y")
-    x = np.random.default_rng(5).normal(size=(30, 3))
-    m = fit_biplot(x, gamma, 2, col_labels=col_labels)
-    svg = render_svg(m, quality(m, x))
-    layer = svg[svg.index('<line class="arrow"'):svg.index('<circle class="dot"')]
-    assert layer == _reference_cols(_pixels(_arrow_tips(m), m.row_markers), col_labels, True)
-    for cols in (x[:3, 1:] * 4.0, x[:3, 1:] / 4.0):  # the squares set the scale, then the rows
-        svg = render_scatter_svg(x[:, :2], tuple(map(str, range(30))), "t", col_coords=cols,
-                                 col_labels=col_labels)
-        layer = svg[svg.index('<rect class="col-dot"'):svg.index('<text class="legend"')]
-        assert layer == _reference_cols(_pixels(cols, x[:, :2]), col_labels, False)
+    for p in (3, 101):  # at 101 columns, the one nearest the origin is unlabelled
+        col_labels = (*(f"c{j}" for j in range(p - 1)), "c" if odd is None else f"x{odd}y")
+        x = np.random.default_rng(5).normal(size=(30, p))
+        m = fit_biplot(x, gamma, 2, col_labels=col_labels)
+        svg = render_svg(m, quality(m, x))
+        layer = svg[svg.index('<line class="arrow"'):svg.index('<circle class="dot"')]
+        assert layer == _reference_cols(_arrow_tips(m), col_labels, True, m.row_markers)
+        assert layer.count('class="col-label"') == min(p, _LABELLED)
+        for cols in (x[:2].T * 4.0, x[:2].T / 4.0):  # the squares set the scale, then the rows
+            svg = render_scatter_svg(x[:, :2], tuple(map(str, range(30))), "t",
+                                     col_coords=cols, col_labels=col_labels)
+            layer = svg[svg.index('<rect class="col-dot"'):svg.index('<text class="legend"')]
+            assert layer == _reference_cols(cols, col_labels, False, x[:, :2])
+            assert layer.count('class="col-label"') == min(p, _LABELLED)
 
 
 @pytest.mark.parametrize("odd", [None, "&", "<", "\x01", "\ufffe"])
