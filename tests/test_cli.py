@@ -594,33 +594,67 @@ def test_json_and_svg_naming_one_file_exits_2_and_writes_nothing(tmp_path, case1
 
 
 _SAME = "two outputs name the same file, {same}"
+_INPUT = "an output names the input table, {table}"
+# An input whose stem, cut to compare's 40-character prefix, names its summary file.
+_SUMMARY = "a" * 40 + "_summary.json"
+_REFUSALS = {
+    "analyze-same-file": (["analyze", "t.csv", "--json", "same", "--svg", "same"], _SAME),
+    "case-same-file": (["case", "1", "--json", "same", "--svg", "same"], _SAME),
+    "output-is-input": (["analyze", "t.csv", "--json", "report.json", "--svg", "./t.csv"], _INPUT),
+    "type-and-gamma": (["analyze", "t.csv", "--type", "jk", "--gamma", "0.3"],
+                       "--type and --gamma are mutually exclusive"),
+    "unknown-method": (["compare", "t.csv", "--methods", "jk,tsne"],
+                       "unknown method 'tsne'; choose from jk, pca, mds, ca"),
+    "repeated-method": (["compare", "t.csv", "--methods", "jk,pca, jk"],
+                        "method 'jk' is named more than once in --methods"),
+    "no-method": (["compare", "t.csv", "--methods", ","],
+                  "--methods must name at least one method"),
+    "summary-is-input": (["compare", _SUMMARY], _INPUT),
+}
 
 
-@pytest.mark.parametrize("argv, err", [
-    (["analyze", "t.csv", "--json", "same", "--svg", "same"], _SAME),
-    (["case", "1", "--json", "same", "--svg", "same"], _SAME),
-    (["analyze", "t.csv", "--json", "report.json", "--svg", "./t.csv"],
-     "an output names the input table, {table}"),
-    (["analyze", "t.csv", "--type", "jk", "--gamma", "0.3"],
-     "--type and --gamma are mutually exclusive"),
-    (["compare", "t.csv", "--methods", "jk,tsne"],
-     "unknown method 'tsne'; choose from jk, pca, mds, ca"),
-    (["compare", "t.csv", "--methods", "jk,pca, jk"],
-     "method 'jk' is named more than once in --methods"),
-    (["compare", "t.csv", "--methods", ","], "--methods must name at least one method")],
-    ids=["analyze-same-file", "case-same-file", "output-is-input", "type-and-gamma",
-         "unknown-method", "repeated-method", "no-method"])
+@pytest.mark.parametrize("argv, err", list(_REFUSALS.values()), ids=list(_REFUSALS))
 def test_a_refused_request_reads_no_table(tmp_path, capsys, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)
-    table = tmp_path / "t.csv"
+    table = tmp_path / (_SUMMARY if _SUMMARY in argv else "t.csv")
     table.write_text(case_csv(1), encoding="utf-8")
-    monkeypatch.setattr(cli, "parse_table", mock.Mock(side_effect=AssertionError("read")))
-    monkeypatch.setattr(cli, "load_case", mock.Mock(side_effect=AssertionError("read")))
+    monkeypatch.setattr("biplot.data.parse_table", mock.Mock(side_effect=AssertionError("read")))
+    monkeypatch.setattr("biplot.data.load_case", mock.Mock(side_effect=AssertionError("read")))
     assert main(argv) == 2
     same, table_path = (tmp_path / "same").resolve(), table.resolve()
     assert capsys.readouterr().err == "error: " + err.format(same=same, table=table_path) + "\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == [table.name]
     assert table.read_text(encoding="utf-8") == case_csv(1)
+
+
+# Imports biplot, then runs the CLI on each argv of the JSON list in argv[1]; prints, as
+# JSON, which of numpy and biplot.data were loaded after the import and after each call,
+# each call's list led by its exit code.
+_LOADED_ENTRY = """import contextlib, io, json, sys
+import biplot
+loaded = lambda: sorted({"numpy", "biplot.data"} & set(sys.modules))
+seen = [loaded()]
+from biplot.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append([main(argv), *loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_requests_that_compute_nothing_load_no_numpy(tmp_path):
+    """``import biplot``, ``--help``, a usage error, ``case N --dump-csv`` and every
+    refusal judged from the arguments alone load neither numpy nor ``biplot.data``."""
+    runs = [(["case", "1", "--dump-csv", "c1.csv"], 0), (["--help"], 0), (["analyze"], 2)]
+    runs += [(argv, 2) for argv, _ in _REFUSALS.values()]
+    src = str(Path(biplot.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_ENTRY, json.dumps([a for a, _ in runs])],
+                          cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
+                          timeout=120)
+    assert json.loads(proc.stdout) == [[]] + [[code] for _, code in runs]
+    assert (tmp_path / "c1.csv").read_text(encoding="utf-8") == case_csv(1)
 
 
 def test_every_exported_name_resolves():
