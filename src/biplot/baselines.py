@@ -3,8 +3,6 @@ analysis with symmetric scaling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -12,7 +10,7 @@ from .data import DataTable
 from .errors import InputError
 
 
-@dataclass(frozen=True)
+@linalg.frozen_result
 class MdsEmbedding:
     """Classical MDS solution: centered coordinates, the eigenvalues they
     came from, and the share of positive eigenvalue mass dropped."""
@@ -22,12 +20,8 @@ class MdsEmbedding:
     strain: float
     truncated: bool = False  # fewer positive eigenvalues than requested
 
-    def __post_init__(self):
-        self.coords.flags.writeable = False
-        self.eigenvalues.flags.writeable = False
 
-
-@dataclass(frozen=True)
+@linalg.frozen_result
 class CaModel:
     """Correspondence analysis in symmetric (principal) coordinates."""
 
@@ -37,11 +31,6 @@ class CaModel:
     total_inertia: float
     row_masses: np.ndarray
     col_masses: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.row_coords, self.col_coords, self.inertias,
-                  self.row_masses, self.col_masses):
-            a.flags.writeable = False
 
 
 def classical_mds(d, dims: int = 2) -> MdsEmbedding:

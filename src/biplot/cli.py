@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -48,19 +49,25 @@ def _write_all(artifacts: list) -> None:
         raise
 
 
-def _refuse_overwriting(source, outputs) -> None:
-    """Refuse ``outputs`` (paths) naming one file twice, or naming the ``source`` table."""
-    outputs = [Path(path).resolve() for path in outputs]
-    if len(set(outputs)) < len(outputs):
-        raise InputError(f"two outputs name the same file, {max(outputs, key=outputs.count)}")
-    if source is not None and Path(source).resolve() in outputs:
+def _refuse_outputs(source, outputs, made=None) -> None:
+    """Refuse ``outputs`` (paths) naming one file twice or the ``source`` table, or with no
+    directory to go in: the parent of each, or, for outputs in a directory ``made`` later
+    with its parents, the nearest existing path up from ``made`` must be a directory."""
+    resolved = [Path(path).resolve() for path in outputs]
+    if len(set(resolved)) < len(resolved):
+        raise InputError(f"two outputs name the same file, {max(resolved, key=resolved.count)}")
+    if source is not None and Path(source).resolve() in resolved:
         raise InputError(f"an output names the input table, {Path(source).resolve()}")
+    for path in [made] if made else map(Path, outputs):
+        at = next(p for p in (path, *path.parents) if os.path.exists(p)) if made else path.parent
+        if not os.path.isdir(at):
+            raise InputError(f"cannot write {path}: {at} is not a directory")
 
 
 def _analyze(args, source=None, **options) -> int:
-    """Refuse outputs that overwrite each other or the ``source`` table, run ``report.analyze``
-    with ``options`` on the ``source`` table, else case ``args.case_id``, write, print the fit."""
-    _refuse_overwriting(source, [path for path in (args.json, args.svg) if path])
+    """Refuse outputs as ``_refuse_outputs`` does, run ``report.analyze`` with ``options``
+    on the ``source`` table, else case ``args.case_id``, write, print the fit."""
+    _refuse_outputs(source, [path for path in (args.json, args.svg) if path])
     from . import report, data  # report first: the peak resident set is ~0.15 MB lower
     table = _read_table(source) if source is not None else data.load_case(args.case_id)
     model, qual, rep = report.analyze(table, **options, overwrite_table=True)
@@ -157,7 +164,7 @@ def _cmd_compare(args) -> int:
     slug = "".join(c if c.isalnum() else "_" for c in Path(args.input).stem.lower()).strip("_")[:40]
     paths = [out_dir / f"{slug}_{m}.{ext}" for m in methods for ext in ("json", "svg")]
     paths.append(out_dir / f"{slug}_summary.json")
-    _refuse_overwriting(args.input, paths)
+    _refuse_outputs(args.input, paths, out_dir)
     from . import report, baselines  # report first, as in _analyze
     table = _read_table(args.input)
     if "ca" in methods and table.shape[1] < 3:  # refused before any work

@@ -3,8 +3,6 @@ representation and the geometric diagnostics used to read a biplot."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -13,7 +11,7 @@ from .data import DataTable, refuse_unusable_column
 from .errors import InputError, NumericalError
 
 
-@dataclass(frozen=True)
+@linalg.frozen_result
 class BiplotModel:
     """Row and column markers of a rank-``dims`` biplot.
 
@@ -33,10 +31,6 @@ class BiplotModel:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
 
-    def __post_init__(self):
-        for a in (self.row_markers, self.col_markers, self.sigma_retained, self.sigma_all):
-            a.flags.writeable = False
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.row_markers.shape[0], self.col_markers.shape[0])
@@ -48,7 +42,7 @@ class BiplotModel:
         return self.sigma_retained ** 2 / total
 
 
-@dataclass(frozen=True)
+@linalg.frozen_result
 class QualityReport:
     """Per-row / per-column quality of representation and overall fit.
 
@@ -63,10 +57,6 @@ class QualityReport:
     residual_frobenius: float
     noise_rows: tuple[str, ...]
     noise_cols: tuple[str, ...]
-
-    def __post_init__(self):
-        self.qr_rows.flags.writeable = False
-        self.qr_cols.flags.writeable = False
 
 
 def fit_biplot(x, gamma: float, dims: int = 2,
@@ -185,18 +175,9 @@ def column_cosines(model: BiplotModel) -> np.ndarray:
 
 
 def row_distances(model: BiplotModel) -> np.ndarray:
-    """Euclidean distances between row markers, from their Gram matrix:
-    ``|a_i|^2 + |a_j|^2 - 2 a_i.a_j``, clipped at 0 against rounding, with a
-    zero diagonal; n x n, without an n x n x s difference tensor."""
+    """Euclidean distances between row markers (n x n), from their differences."""
     A = model.row_markers
-    sq = np.sum(A * A, axis=1)
-    d = A @ A.T
-    d *= -2.0
-    d += sq[:, None]
-    d += sq
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return np.sqrt(d, out=d)
+    return np.sqrt(np.sum((A[:, None, :] - A[None, :, :]) ** 2, axis=2))
 
 
 def pca_scores(x, dims: int = 2) -> np.ndarray:

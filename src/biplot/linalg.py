@@ -10,7 +10,7 @@ import functools
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,17 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+def frozen_result(cls):
+    """``cls`` as a frozen dataclass whose ndarray fields are read-only once it is built."""
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(a := getattr(self, f.name), np.ndarray):
+                a.flags.writeable = False
+    cls.__post_init__ = __post_init__
+    return dataclass(frozen=True)(cls)
+
+
+@frozen_result
 class SvdResult:
     """Sign-normalized singular value decomposition.
 
@@ -48,11 +58,6 @@ class SvdResult:
     sigma: np.ndarray
     V: np.ndarray
     rank: int
-
-    def __post_init__(self):
-        self.U.flags.writeable = False
-        self.sigma.flags.writeable = False
-        self.V.flags.writeable = False
 
 
 def svd(values) -> SvdResult:

@@ -610,6 +610,11 @@ _REFUSALS = {
     "no-method": (["compare", "t.csv", "--methods", ","],
                   "--methods must name at least one method"),
     "summary-is-input": (["compare", _SUMMARY], _INPUT),
+    # /dev/null is a file on every POSIX system, so nothing can be made under it.
+    "parent-not-a-directory": (["analyze", "t.csv", "--json", "/dev/null/r.json"],
+                               "cannot write /dev/null/r.json: /dev/null is not a directory"),
+    "out-under-a-file": (["compare", "t.csv", "--out", "/dev/null/panels"],
+                         "cannot write /dev/null/panels: /dev/null is not a directory"),
 }
 
 
@@ -628,11 +633,11 @@ def test_a_refused_request_reads_no_table(tmp_path, capsys, monkeypatch, argv, e
 
 
 # Imports biplot, then runs the CLI on each argv of the JSON list in argv[1]; prints, as
-# JSON, which of numpy and biplot.data were loaded after the import and after each call,
-# each call's list led by its exit code.
+# JSON, which of the modules named in the JSON list in argv[2] were loaded after the import
+# and after each call, each call's list led by its exit code.
 _LOADED_ENTRY = """import contextlib, io, json, sys
 import biplot
-loaded = lambda: sorted({"numpy", "biplot.data"} & set(sys.modules))
+loaded = lambda: sorted(set(json.loads(sys.argv[2])) & set(sys.modules))
 seen = [loaded()]
 from biplot.cli import main
 for argv in json.loads(sys.argv[1]):
@@ -642,19 +647,38 @@ print(json.dumps(seen))
 """
 
 
+def _loaded(cwd, argvs, modules):
+    """The lists ``_LOADED_ENTRY`` prints for ``argvs``, run in one child process in ``cwd``."""
+    src = str(Path(biplot.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_ENTRY, json.dumps(argvs),
+                           json.dumps(modules)],
+                          cwd=cwd, env=env, check=True, capture_output=True, text=True,
+                          timeout=120)
+    return json.loads(proc.stdout)
+
+
 def test_requests_that_compute_nothing_load_no_numpy(tmp_path):
     """``import biplot``, ``--help``, a usage error, ``case N --dump-csv`` and every
     refusal judged from the arguments alone load neither numpy nor ``biplot.data``."""
     runs = [(["case", "1", "--dump-csv", "c1.csv"], 0), (["--help"], 0), (["analyze"], 2)]
     runs += [(argv, 2) for argv, _ in _REFUSALS.values()]
-    src = str(Path(biplot.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_ENTRY, json.dumps([a for a, _ in runs])],
-                          cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
-                          timeout=120)
-    assert json.loads(proc.stdout) == [[]] + [[code] for _, code in runs]
+    seen = _loaded(tmp_path, [a for a, _ in runs], ["numpy", "biplot.data"])
+    assert seen == [[]] + [[code] for _, code in runs]
     assert (tmp_path / "c1.csv").read_text(encoding="utf-8") == case_csv(1)
+
+
+def test_analyze_and_case_never_load_the_baselines(tmp_path):
+    """``case`` and ``analyze`` compute the fit without ``biplot.baselines``; ``compare``,
+    whose CA panel needs it, is the control."""
+    runs = [["case", "1", "--dump-csv", "c1.csv"],
+            ["case", "1", "--json", "r.json", "--svg", "p.svg"],
+            ["analyze", "c1.csv", "--json", "a.json", "--svg", "a.svg"],
+            ["compare", "c1.csv", "--out", "panels"]]
+    seen = _loaded(tmp_path, runs, ["biplot.baselines"])
+    assert seen == [[], [0], [0], [0], [0, "biplot.baselines"]]
+    assert (tmp_path / "panels" / "c1_summary.json").is_file()
 
 
 def test_every_exported_name_resolves():

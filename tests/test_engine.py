@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from biplot.baselines import classical_mds, correspondence_analysis
 from biplot.data import DataTable, load_case, parse_table, preprocess
 from biplot.engine import (column_cosines, fit_biplot, gh, jk, pca_scores, pearson, quality,
                            reconstruct, row_distances, sqrt_biplot)
@@ -383,3 +386,24 @@ def test_rescaling_input_preserves_shape_diagnostics():
     d1, d2 = row_distances(m1), row_distances(m2)
     iu = np.triu_indices_from(d1, 1)
     assert np.array_equal(np.argsort(d1[iu]), np.argsort(d2[iu]))
+
+
+_RESULTS = {
+    "svd": lambda m, x: svd(x),
+    "jk": lambda m, x: m,
+    "quality": lambda m, x: quality(m, x),
+    "classical_mds": lambda m, x: classical_mds(row_distances(m)),
+    "correspondence_analysis": lambda m, x: correspondence_analysis(load_case(1)),
+}
+
+
+@pytest.mark.parametrize("result", list(_RESULTS.values()), ids=list(_RESULTS))
+def test_every_array_of_a_result_is_read_only(result):
+    _, x, _ = case_matrix(1)
+    res = result(jk(x), x)
+    arrays = [getattr(res, f.name) for f in dataclasses.fields(res)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
