@@ -13,7 +13,7 @@ _HOMES = {
               "quality reconstruct row_distances sqrt_biplot",
     "errors": "InputError NumericalError",
     "linalg": "SvdResult low_rank_approx svd",
-    "report": "AnalysisReport analyze render_svg svg_lines",
+    "report": "AnalysisReport analyze svg_lines",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted(_HOME)

@@ -116,9 +116,11 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
     if not 1 <= dims <= max_axes:
         raise InputError(f"dims must lie in [1, {max_axes}] for a "
                          f"{len(r)}x{len(c)} table, got {dims}")
-    rc = np.outer(r, c)
-    S = P - rc
-    S /= np.sqrt(rc, out=rc)
+    S = P  # the standardized residuals (P - rc) / sqrt(rc), formed in P by blocks of rows
+    for i in range(0, len(S), 4096):
+        block, rc = S[i:i + 4096], np.outer(r[i:i + 4096], c)
+        block -= rc
+        block /= np.sqrt(rc, out=rc)
     with linalg.one_blas_thread():
         sigma, V, _ = linalg.right_svd(S)
         # U_s diag(sigma_s) = S V_s

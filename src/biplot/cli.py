@@ -89,7 +89,7 @@ def _cmd_analyze(args) -> int:
     return _analyze(args, args.input, gamma=gamma, dims=args.dims, scale=args.scale)
 
 
-# Each panel maps (table, fit) to (report JSON, SVG, 2-D share). ``fit``
+# Each panel maps (table, fit) to (JSON lines, SVG lines, 2-D share). ``fit``
 # returns the table's z-scored JK analysis, computed once on first use:
 # by the Torgerson duality the PCA scores and the classical MDS
 # configuration of the Euclidean row distances are its row markers.
@@ -97,7 +97,7 @@ def _cmd_analyze(args) -> int:
 def _jk_panel(table, fit):
     from . import report
     model, qual, rep = fit()
-    return rep.to_json(), report.render_svg(model, qual), qual.qr_overall
+    return rep.json_lines(), report.svg_lines(model, qual), qual.qr_overall
 
 
 def _row_panel(method: str, table, fit):
@@ -115,9 +115,9 @@ def _row_panel(method: str, table, fit):
         extras = {"coords": coords, "eigenvalues": model.sigma_retained ** 2,
                   "strain": 1.0 - share}
     doc = {"method": method, **extras, "row_labels": list(table.row_labels), "share_2d": share}
-    svg = report.render_scatter_svg(coords, table.row_labels,
-                                    f"{title} | 2-D share {share * 100:.1f}%", axes)
-    return report.dumps(doc), svg, share
+    svg = report.scatter_lines(coords, table.row_labels,
+                               f"{title} | 2-D share {share * 100:.1f}%", axes)
+    return report.json_lines(doc), svg, share
 
 
 def _ca_panel(table, fit):
@@ -128,11 +128,11 @@ def _ca_panel(table, fit):
            "inertias": ca.inertias, "total_inertia": ca.total_inertia,
            "row_labels": list(table.row_labels), "col_labels": list(table.col_labels),
            "share_2d": share, "warnings": _ca_warnings(table.col_labels, ca.col_masses)}
-    svg = report.render_scatter_svg(ca.row_coords, table.row_labels,
-                                    f"CA (symmetric) | 2-D share {share * 100:.1f}%",
-                                    ca.inertias / ca.total_inertia * 100.0,
-                                    col_coords=ca.col_coords, col_labels=table.col_labels)
-    return report.dumps(doc), svg, share
+    svg = report.scatter_lines(ca.row_coords, table.row_labels,
+                               f"CA (symmetric) | 2-D share {share * 100:.1f}%",
+                               ca.inertias / ca.total_inertia * 100.0,
+                               col_coords=ca.col_coords, col_labels=table.col_labels)
+    return report.json_lines(doc), svg, share
 
 
 def _ca_warnings(col_labels, masses) -> list[str]:
@@ -165,25 +165,27 @@ def _cmd_compare(args) -> int:
     paths = [out_dir / f"{slug}_{m}.{ext}" for m in methods for ext in ("json", "svg")]
     paths.append(out_dir / f"{slug}_summary.json")
     _refuse_outputs(args.input, paths, out_dir)
-    from . import report, baselines  # report first, as in _analyze
+    from . import report, baselines, data  # report first, as in _analyze
     table = _read_table(args.input)
     if "ca" in methods and table.shape[1] < 3:  # refused before any work
         baselines.ca_input(table)  # whose refusal comes first, as in the panel
         raise InputError(f"the ca panel needs at least 3 columns for its two axes, and "
                          f"{table.name!r} is {table.shape[0]}x{table.shape[1]}; "
                          "leave it out with --methods jk,pca,mds")
-    # The table is not handed over: the ca panel reads its values after the fit.
-    fit = functools.cache(lambda: report.analyze(table))
-    # Every panel is built before any file is written, each to its own files (methods are distinct).
-    panels = [(m, *_PANELS[m](table, fit)) for m in methods]
-    summary = [{"method": m, "share_2d": share} for m, _, _, share in panels]
+    if "ca" in methods and len(methods) > 1:  # the fit's column rule is named before ca's
+        data.refuse_unusable_column(table, "zscore")
+    # The ca panel reads the raw values, so it is built first; the fit then z-scores them in place.
+    fit = functools.cache(lambda: report.analyze(table, overwrite_table=True))
+    # Every panel checks its inputs before any file is written; each writes its own files.
+    panels = {m: _PANELS[m](table, fit) for m in sorted(methods, key="ca".__ne__)}
+    summary = [{"method": m, "share_2d": panels[m][2]} for m in methods]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
-    texts = [text for _, doc, svg, _ in panels for text in (doc, svg)]
-    texts.append(report.dumps({"dataset": table.name, "methods": summary}))
-    _write_all([(path, [text]) for path, text in zip(paths, texts)])
+    lines = [part for m in methods for part in panels[m][:2]]
+    lines.append(report.json_lines({"dataset": table.name, "methods": summary}))
+    _write_all(list(zip(paths, lines)))
     for entry in summary:
         print(f"{entry['method']}: 2-D share = {entry['share_2d']:.4f}")
     return EXIT_OK

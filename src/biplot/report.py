@@ -87,11 +87,6 @@ def _json_pieces(value, depth: int):
         yield text[depth * (depth + 3):len(text) - depth * (depth + 1)]
 
 
-def dumps(doc) -> str:
-    """The document of ``json_lines(doc)``."""
-    return "".join(json_lines(doc))
-
-
 def method_name(gamma: float) -> str:
     """The biplot type of ``gamma`` (jk, gh or sqrt), else "biplot"."""
     return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
@@ -283,19 +278,14 @@ def svg_lines(model: BiplotModel, quality: QualityReport):
                   _marks(_DOT, A, unit, model.row_labels), defs=_ARROW_HEAD)
 
 
-def render_svg(model: BiplotModel, quality: QualityReport) -> str:
-    """The document of ``svg_lines(model, quality)``."""
-    return "".join(svg_lines(model, quality))
-
-
-def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
-                       shares: np.ndarray | None = None, *,
-                       col_coords: np.ndarray | None = None,
-                       col_labels: tuple[str, ...] = ()) -> str:
-    """Deterministic scatter panel for the baseline methods: the biplot's
-    row dots without its arrows, and the axis labels when ``shares`` (percent
-    per axis) is given. Column coordinates, if given, are drawn as squares
-    on the same scale and labelled from ``col_labels`` as the rows are."""
+def scatter_lines(coords: np.ndarray, labels: tuple[str, ...], title: str,
+                  shares: np.ndarray | None = None, *, col_coords: np.ndarray | None = None,
+                  col_labels: tuple[str, ...] = ()):
+    """Text of the deterministic scatter panel for the baseline methods, as
+    ``svg_lines`` gives it: the biplot's row dots without its arrows, and the
+    axis labels when ``shares`` (percent per axis) is given. Column coordinates,
+    if given, are drawn as squares on the same scale and labelled from
+    ``col_labels`` as the rows are. The inputs are checked when this is called."""
     sets = [as_matrix(coords, "coords")]
     if col_coords is not None:
         sets.append(as_matrix(col_coords, "col_coords"))
@@ -306,5 +296,5 @@ def render_scatter_svg(coords: np.ndarray, labels: tuple[str, ...], title: str,
             raise InputError(f"scatter rendering needs one label per point, "
                              f"got {len(names)} labels for {len(pts)} points")
     unit = _HALF / _extent(*sets)
-    return "".join(_frame(shares, title, _marks(_DOT, sets[0], unit, labels),
-                          *(_marks(_SQUARE, c, unit, col_labels) for c in sets[1:])))
+    return _frame(shares, title, _marks(_DOT, sets[0], unit, labels),
+                  *(_marks(_SQUARE, c, unit, col_labels) for c in sets[1:]))

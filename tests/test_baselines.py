@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from biplot import linalg
 from biplot.baselines import classical_mds, correspondence_analysis
 from biplot.data import load_case, preprocess
 from biplot.engine import jk, pca_scores
@@ -131,6 +134,25 @@ def test_ca_transition_formulas():
     cols_from_rows = (col_profiles @ ca.row_coords) / sigma
     assert np.max(np.abs(rows_from_cols - ca.row_coords)) <= 1e-9
     assert np.max(np.abs(cols_from_rows - ca.col_coords)) <= 1e-9
+
+
+def test_ca_residuals_formed_by_row_blocks_keep_the_bits_of_the_whole_matrix():
+    # 2 * 4096 + 1 rows: two full blocks of residuals and a partial last one.
+    X = np.abs(np.random.default_rng(4).normal(size=(2 * 4096 + 1, 5))) + 1.0
+    ca = correspondence_analysis(X, 2)
+    P = X / float(X.sum())
+    r, c = P.sum(axis=1), P.sum(axis=0)
+    rc = np.outer(r, c)
+    S = (P - rc) / np.sqrt(rc)
+    with linalg.one_blas_thread():
+        sigma, V, _ = linalg.right_svd(S)
+        row_coords = (S @ V[:, :2]) / np.sqrt(r)[:, None]
+    col_coords = (V[:, :2] * sigma[:2]) / np.sqrt(c)[:, None]
+    expected = {"row_coords": row_coords, "col_coords": col_coords, "inertias": (sigma ** 2)[:2],
+                "total_inertia": float(np.sum(sigma ** 2)), "row_masses": r, "col_masses": c}
+    assert [f.name for f in dataclasses.fields(ca)] == list(expected)
+    for name, value in expected.items():
+        assert np.array_equal(getattr(ca, name), value), name
 
 
 def test_ca_rejects_negative_and_zero_margins():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from biplot.cli import main
 from biplot.data import case_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,15 +29,21 @@ def _counters(spans: list, name: str) -> list:
     return [counters for span_name, _, _, _, counters, _ in spans if span_name == name]
 
 
-def test_tracer_sees_the_report_writers(tmp_path):
-    # analyze and case stream both artifacts (AnalysisReport.json_lines and
-    # report.svg_lines); compare's JK panel still calls the writers it counts.
-    (tmp_path / "case1.csv").write_text(case_csv(1), encoding="utf-8")
-    spans = _traced_spans(tmp_path, "compare", "case1.csv", "--methods", "jk")
-    for name, artifact in (("report.to_json", "case1_jk.json"),
-                           ("report.render_svg", "case1_jk.svg")):
-        size = (tmp_path / artifact).stat().st_size
-        assert [c["bytes"] for c in _counters(spans, name)] == [size]
+def test_traced_compare_writes_the_plain_artifacts(tmp_path):
+    # The tracer wraps every public function and AnalysisReport.to_json; compare
+    # streams its panels, so the traced run must write the bytes of a plain one.
+    csv = case_csv(1)
+    traced, plain = tmp_path / "traced", tmp_path / "plain"
+    for out in (traced, plain):
+        out.mkdir()
+        (out / "case1.csv").write_text(csv, encoding="utf-8")
+    _traced_spans(traced, "compare", "case1.csv", "--methods", "jk,pca,mds,ca", "--out", "p")
+    assert main(["compare", str(plain / "case1.csv"), "--methods", "jk,pca,mds,ca",
+                 "--out", str(plain / "p")]) == 0
+    names = sorted(f.name for f in (plain / "p").iterdir())
+    assert len(names) == 9 and sorted(f.name for f in (traced / "p").iterdir()) == names
+    for name in names:
+        assert (traced / "p" / name).read_bytes() == (plain / "p" / name).read_bytes(), name
 
 
 def test_tracer_sees_the_fits_one_svd(tmp_path):

@@ -20,7 +20,7 @@ from biplot.baselines import classical_mds
 from biplot.cli import main
 from biplot.data import (DataTable, case_csv, load_case, parse_table, preprocess,
                          serialize_table)
-from biplot.report import analyze, render_svg
+from biplot.report import analyze, svg_lines
 
 
 @pytest.fixture
@@ -274,8 +274,8 @@ def test_analyze_artifacts_identical_across_blas_threads(tmp_path):
 
 
 def test_compare_ca_panel_is_the_same_beside_the_jk_fit(tmp_path):
-    # compare does not hand its table over to the JK fit: the CA panel reads
-    # the raw values after it, on a table of more than one row block too.
+    # compare builds the CA panel from the raw values before the JK fit z-scores
+    # the parsed table in place, on a table of more than one row block too.
     path = _seeded_csv(tmp_path / "t.csv", report._BLOCK + 1, 5, 2, positive=True)
     for methods in ("ca", "jk,ca"):
         out = tmp_path / methods.replace(",", "_")
@@ -334,6 +334,22 @@ def test_analyze_peak_memory_after_the_fit_stays_under_twice_the_table(tmp_path)
     assert (peak_kb[0] - peak_kb[1]) * 1024 <= 2.0 * n * p * 8
 
 
+def test_compare_peak_memory_stays_under_three_times_the_table(tmp_path):
+    """compare builds the CA panel from the raw values, forming its residuals in
+    place by row blocks, then z-scores the parsed table in place for the fit, and
+    streams every panel: its peak above ``case 1``'s is at most 3.0 times the table's bytes."""
+    n, p = 50000, 20
+    tall = _seeded_csv(tmp_path / "tall.csv", n, p, 1, positive=True)
+    src = str(Path(biplot.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peak_kb = [int(subprocess.run([sys.executable, "-c", _PEAK_ENTRY, *argv], cwd=tmp_path,
+                                  env=env, check=True, capture_output=True, text=True,
+                                  timeout=120).stderr.split()[-2])
+               for argv in (["compare", str(tall), "--out", "panels"], ["case", "1"])]
+    assert (peak_kb[0] - peak_kb[1]) * 1024 <= 3.0 * n * p * 8
+
+
 @pytest.mark.parametrize("command, options", [("analyze", []),
                                               ("compare", ["--methods", "jk"])])
 def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command, options):
@@ -357,7 +373,7 @@ def test_streamed_artifacts_equal_in_memory_ones(tmp_path, source):
     assert main(argv + ["--json", str(j), "--svg", str(s)]) == 0
     model, qual, rep = analyze(table)
     assert j.read_bytes() == rep.to_json().encode("utf-8")
-    assert s.read_bytes() == render_svg(model, qual).encode("utf-8")
+    assert s.read_bytes() == "".join(svg_lines(model, qual)).encode("utf-8")
 
 
 def test_failed_svg_leaves_no_partial_file(tmp_path, case1_csv, capsys):

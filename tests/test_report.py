@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from biplot.data import DataTable, load_case, parse_table, preprocess, serialize_table
 from biplot.engine import column_cosines, fit_biplot, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
-from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, analyze, dumps,
-                           method_name, render_scatter_svg, render_svg, svg_lines)
+from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, analyze, json_lines,
+                           method_name, scatter_lines, svg_lines)
 
 _LABELLED = 100  # rows, or columns, that carry a label in a layer
 
@@ -81,7 +81,7 @@ def test_from_json_reads_schema_1():
     _, _, _, rep = full_report(1)
     doc = json.loads(rep.to_json())
     del doc["schema_version"]  # schema 1: no version key, the blocks always there
-    back = AnalysisReport.from_json(dumps(doc))
+    back = AnalysisReport.from_json("".join(json_lines(doc)))
     assert back.schema_version == 1
     assert back.correlations == rep.correlations.tolist()
     assert back.cosines == rep.cosines.tolist()
@@ -152,7 +152,7 @@ def test_svg_element_counts():
     x = rng.normal(size=(4, 3))
     m = fit_biplot(x, 1.0, 2)
     q = quality(m, x)
-    svg = render_svg(m, q)
+    svg = "".join(svg_lines(m, q))
     assert svg.count('class="dot"') == 4
     assert svg.count('class="arrow"') == 3
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
@@ -160,12 +160,12 @@ def test_svg_element_counts():
 
 def test_svg_deterministic():
     _, m, q = fitted_case(1)
-    assert render_svg(m, q) == render_svg(m, q)
+    assert "".join(svg_lines(m, q)) == "".join(svg_lines(m, q))
 
 
 def test_svg_contains_all_labels_and_variance_shares():
     t, m, q = fitted_case(1)
-    svg = render_svg(m, q)
+    svg = "".join(svg_lines(m, q))
     for label in t.row_labels:
         assert label in svg
     for label in t.col_labels:
@@ -179,30 +179,30 @@ def test_svg_requires_two_dims():
     x, _ = preprocess(t, "zscore")
     m = jk(x, 3)
     with pytest.raises(InputError):
-        render_svg(m, quality(m, x))
+        svg_lines(m, quality(m, x))
 
 
 def test_scatter_needs_one_label_per_point():
     rows, cols = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.5, 0.5]])
-    svg = render_scatter_svg(rows, ("a", "b"), "t", col_coords=cols, col_labels=("c",))
+    svg = "".join(scatter_lines(rows, ("a", "b"), "t", col_coords=cols, col_labels=("c",)))
     assert svg.count('class="col-dot"') == svg.count('class="col-label"') == 1
     for bad in [dict(col_coords=cols), dict(col_coords=cols, col_labels=("c", "d"))]:
         with pytest.raises(InputError, match="one label per point"):
-            render_scatter_svg(rows, ("a", "b"), "t", **bad)
+            scatter_lines(rows, ("a", "b"), "t", **bad)
     with pytest.raises(InputError, match="one label per point"):
-        render_scatter_svg(rows, ("a",), "t")
+        scatter_lines(rows, ("a",), "t")
 
 
 def test_scatter_needs_finite_nonempty_coordinates():
     rows, cols = np.zeros((150, 2)), np.ones((2, 2))
     rows[7, 1] = cols[1, 0] = np.nan
     with pytest.raises(InputError, match="^coords contains a non-finite entry at row 7, column 1"):
-        render_scatter_svg(rows, tuple(map(str, range(150))), "t")
+        scatter_lines(rows, tuple(map(str, range(150))), "t")
     with pytest.raises(InputError, match="^col_coords contains a non-finite entry at row 1, col"):
-        render_scatter_svg(rows[:7], tuple("abcdefg"), "t", col_coords=cols,
-                           col_labels=("c", "d"))
+        scatter_lines(rows[:7], tuple("abcdefg"), "t", col_coords=cols,
+                      col_labels=("c", "d"))
     with pytest.raises(InputError, match=r"^coords must be a non-empty 2-D array, got shape \(0,"):
-        render_scatter_svg(np.zeros((0, 2)), (), "t")
+        scatter_lines(np.zeros((0, 2)), (), "t")
 
 
 # Each layer, written in blocks, against a per-point writer: one f-string
@@ -283,13 +283,13 @@ def test_column_layers_match_per_column_writer(gamma, odd):
         col_labels = (*(f"c{j}" for j in range(p - 1)), "c" if odd is None else f"x{odd}y")
         x = np.random.default_rng(5).normal(size=(30, p))
         m = fit_biplot(x, gamma, 2, col_labels=col_labels)
-        svg = render_svg(m, quality(m, x))
+        svg = "".join(svg_lines(m, quality(m, x)))
         layer = svg[svg.index('<line class="arrow"'):svg.index('<circle class="dot"')]
         assert layer == _reference_cols(_arrow_tips(m), col_labels, True, m.row_markers)
         assert layer.count('class="col-label"') == min(p, _LABELLED)
         for cols in (x[:2].T * 4.0, x[:2].T / 4.0):  # the squares set the scale, then the rows
-            svg = render_scatter_svg(x[:, :2], tuple(map(str, range(30))), "t",
-                                     col_coords=cols, col_labels=col_labels)
+            svg = "".join(scatter_lines(x[:, :2], tuple(map(str, range(30))), "t",
+                                        col_coords=cols, col_labels=col_labels))
             layer = svg[svg.index('<rect class="col-dot"'):svg.index('<text class="legend"')]
             assert layer == _reference_cols(cols, col_labels, False, x[:, :2])
             assert layer.count('class="col-label"') == min(p, _LABELLED)
@@ -304,12 +304,12 @@ def test_row_blocks_match_per_row_writer(n, odd):
     x = np.random.default_rng(n).normal(size=(n, 3))
     x[-1] *= 10.0  # the last row is labelled: it lies farthest out in both panels
     m = fit_biplot(x, 1.0, 2, row_labels=tuple(labels), col_labels=("a", "b", "c"))
-    svg = render_svg(m, quality(m, x))
+    svg = "".join(svg_lines(m, quality(m, x)))
     _assert_row_layer(svg, _reference_rows(m.row_markers, labels, _arrow_tips(m)))
     assert f">{_escape(labels[-1])}</text>" in svg
     cols = x[:3, 1:] * 4.0
-    svg = render_scatter_svg(x[:, :2], tuple(labels), "t", col_coords=cols,
-                             col_labels=("a", "b", "c"))
+    svg = "".join(scatter_lines(x[:, :2], tuple(labels), "t", col_coords=cols,
+                                col_labels=("a", "b", "c")))
     _assert_row_layer(svg, _reference_rows(x[:, :2], labels, cols))
     assert f">{_escape(labels[-1])}</text>" in svg
     assert svg.count('class="row-label"') == _LABELLED
@@ -318,7 +318,7 @@ def test_row_blocks_match_per_row_writer(n, odd):
 def test_hundred_rows_all_labelled():
     x = np.random.default_rng(3).normal(size=(100, 2))
     labels = tuple(f"r{i}" for i in range(100))
-    svg = render_scatter_svg(x, labels, "t")
+    svg = "".join(scatter_lines(x, labels, "t"))
     _assert_row_layer(svg, _reference_rows(x, labels))
     assert svg.count('class="row-label"') == 100
 
@@ -330,7 +330,7 @@ def test_more_rows_label_the_farthest_hundred(n):
     coords = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]] * 50)[:n - 1]
     coords = np.vstack([coords, [[2.0, 0.0]]])
     labels = tuple(f"r{i}" for i in range(n))
-    svg = render_scatter_svg(coords, labels, "t")
+    svg = "".join(scatter_lines(coords, labels, "t"))
     _assert_row_layer(svg, _reference_rows(coords, labels))
     assert svg.count("<circle") == n
     drawn = re.findall(r'class="row-label"[^>]*>(r\d+)</text>', svg)
@@ -345,7 +345,7 @@ def test_a_tie_at_the_last_label_across_blocks_goes_to_the_earlier_row():
     coords[_BLOCK + 10:_BLOCK + 109] = [2.0, 0.0]
     coords[[5, _BLOCK + 5]] = [[0.0, 1.0], [1.0, 0.0]]
     labels = tuple(f"r{i}" for i in range(n))
-    svg = render_scatter_svg(coords, labels, "t")
+    svg = "".join(scatter_lines(coords, labels, "t"))
     _assert_row_layer(svg, _reference_rows(coords, labels))
     drawn = re.findall(r'class="row-label"[^>]*>(r\d+)</text>', svg)
     assert drawn == ["r5", *(f"r{i}" for i in range(_BLOCK + 10, _BLOCK + 109))]
@@ -357,7 +357,8 @@ def test_rows_farther_out_than_the_largest_float_are_ranked_without_overflow(fir
     # overflows to inf; the labels still go to the 100 rows farthest out, not by row order.
     coords = np.repeat(np.linspace(first, 1.5e308, 150)[:, None], 2, axis=1)
     labels = tuple(f"r{i}" for i in range(150))
-    svg = render_scatter_svg(coords, labels, "t")  # pytest turns a RuntimeWarning into an error
+    # pytest turns a RuntimeWarning into an error
+    svg = "".join(scatter_lines(coords, labels, "t"))
     assert svg.count("<circle") == 150
     drawn = re.findall(r'class="row-label"[^>]*>(r\d+)</text>', svg)
     assert drawn == [f"r{i}" for i in range(50, 150)]
@@ -374,15 +375,16 @@ def test_row_layer_matches_per_row_writer(rows):
     extent = float(np.max(np.abs(coords))) or 1.0
     if not math.isfinite(_HALF / extent):  # a subnormal largest coordinate: no pixel scale
         with pytest.raises(InputError, match=r"^the largest \|coordinate\|, .* has no finite"):
-            render_scatter_svg(coords, labels, "t")
+            scatter_lines(coords, labels, "t")
         return
-    _assert_row_layer(render_scatter_svg(coords, labels, "t"), _reference_rows(coords, labels))
+    _assert_row_layer("".join(scatter_lines(coords, labels, "t")),
+                      _reference_rows(coords, labels))
 
 
 def test_coordinates_too_small_for_a_pixel_scale_are_refused():
     tiny = np.array([[5e-324, 0.0], [0.0, 1e-320]])
     with pytest.raises(InputError, match=r"^the largest \|coordinate\|, 1e-320, has no finite"):
-        render_scatter_svg(tiny, ("a", "b"), "t")
+        scatter_lines(tiny, ("a", "b"), "t")
     m = fit_biplot(tiny, 1.0, 2)
     with pytest.raises(InputError, match=r"^the largest \|coordinate\|, .* has no finite"):
         svg_lines(m, quality(m, tiny))
@@ -421,7 +423,7 @@ def _refuse(name):
 @settings(max_examples=500, deadline=None)
 @given(_JSON)
 def test_dumps_reads_back_as_strict_json(doc):
-    text = dumps(doc)
+    text = "".join(json_lines(doc))
     assert text.endswith("\n")
     assert json.loads(text, parse_constant=_refuse) == _finite_or_none(doc)
 
@@ -439,7 +441,7 @@ def test_dumps_in_blocks_equals_one_orjson_call(doc, block):
     # A block of one or two items splits every list the strategy draws, at every depth.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("biplot.report._BLOCK", block)
-        assert dumps(doc) == _one_orjson_call(doc)
+        assert "".join(json_lines(doc)) == _one_orjson_call(doc)
 
 
 @pytest.mark.parametrize("n, p", [(_BLOCK, 3), (_BLOCK + 1, 3), (3 * _BLOCK + 5, 3),
@@ -454,7 +456,7 @@ def test_streamed_report_equals_one_orjson_call(n, p):
     pieces = list(rep.json_lines())
     text = "".join(pieces)
     doc = {k: v for k, v in rep.__dict__.items() if v is not None}
-    assert text == rep.to_json() == dumps(doc) == _one_orjson_call(doc)
+    assert text == rep.to_json() == "".join(json_lines(doc)) == _one_orjson_call(doc)
     assert ('Zürich \\"Ω\\" \\\\ \\u0001' in text) and (("null" in text) == (p <= 64))
     # No piece holds more than one block of row markers, of four lines per row.
     assert max(piece.count("\n") for piece in pieces) <= 4 * _BLOCK + 1
@@ -462,9 +464,9 @@ def test_streamed_report_equals_one_orjson_call(n, p):
 
 def test_dumps_layout():
     doc = {"b": [1.5, float("nan"), 1e16], "a": {"é": "ü", "z": [], "y": {}}, "": 1e-05}
-    assert dumps(doc) == ('{\n  "": 0.00001,\n  "a": {\n    "y": {},\n    "z": [],\n'
-                          '    "é": "ü"\n  },\n  "b": [\n    1.5,\n    null,\n    1e16\n'
-                          '  ]\n}\n')
+    assert "".join(json_lines(doc)) == (
+        '{\n  "": 0.00001,\n  "a": {\n    "y": {},\n    "z": [],\n'
+        '    "é": "ü"\n  },\n  "b": [\n    1.5,\n    null,\n    1e16\n  ]\n}\n')
 
 
 def test_analyze_holds_one_matrix_beside_the_table():
