@@ -117,8 +117,9 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
         raise InputError(f"dims must lie in [1, {max_axes}] for a "
                          f"{len(r)}x{len(c)} table, got {dims}")
     S = P  # the standardized residuals (P - rc) / sqrt(rc), formed in P by blocks of rows
-    for i in range(0, len(S), 4096):
-        block, rc = S[i:i + 4096], np.outer(r[i:i + 4096], c)
+    rows = max(1, linalg.BLOCK_CELLS // len(c))
+    for i in range(0, len(S), rows):
+        block, rc = S[i:i + rows], np.outer(r[i:i + rows], c)
         block -= rc
         block /= np.sqrt(rc, out=rc)
     with linalg.one_blas_thread():

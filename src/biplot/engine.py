@@ -129,30 +129,33 @@ def quality(model: BiplotModel, x) -> QualityReport:
             linalg.as_matrix(m)  # which raises, naming the entry
             i = int(np.argmin(np.isfinite(np.cumsum(row_sq))))  # where the sum overflows
             raise InputError(f"x is too large to square: overflow at row {model.row_labels[i]!r}")
-    s = model.sigma_retained
-    # sigma_k * u_ik recovered from the markers regardless of gamma; the n x s rows squared in place
-    row_cap = model.row_markers * s ** (1.0 - model.gamma)
-    row_cap = np.sum(np.square(row_cap, out=row_cap), axis=1)
-    col_cap = np.sum((model.col_markers * s ** model.gamma) ** 2, axis=1)
-    noise = []
-    for kind, cap, sq, labels in (("row", row_cap, row_sq, model.row_labels),
-                                  ("column", col_cap, col_sq, model.col_labels)):
-        over = np.flatnonzero(cap - sq > tol)
-        if over.size:
-            raise NumericalError(f"{kind} {labels[over[0]]!r} has quality above 1: "
-                                 "x is not the matrix the model was fitted to")
-        noise.append(tuple(labels[i] for i in np.flatnonzero(sq <= tol)))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.divide(cap, sq, out=cap)  # the ratio, in cap's own buffer
-        cap[sq <= 0] = 1.0
-        np.minimum(cap, 1.0, out=cap)
+    s, noise, qr = model.sigma_retained, [], []
+    # Rows in blocks of linalg.BLOCK_CELLS cells of x, columns in one block
+    for kind, markers, power, sq, labels, rows in (
+            ("row", model.row_markers, 1.0 - model.gamma, row_sq, model.row_labels,
+             max(1, linalg.BLOCK_CELLS // m.shape[1])),
+            ("column", model.col_markers, model.gamma, col_sq, model.col_labels, len(col_sq))):
+        qr.append(np.empty(len(sq)))
+        noise.append([])
+        for i in range(0, len(sq), rows):
+            # sigma_k u_ik (v_jk) recovered from the markers regardless of gamma, squared in place
+            cap, sq_i = markers[i:i + rows] * s ** power, sq[i:i + rows]
+            cap = np.sum(np.square(cap, out=cap), axis=1, out=qr[-1][i:i + rows])
+            if (over := np.flatnonzero(cap - sq_i > tol)).size:
+                raise NumericalError(f"{kind} {labels[i + over[0]]!r} has quality above 1: "
+                                     "x is not the matrix the model was fitted to")
+            noise[-1] += (labels[i + k] for k in np.flatnonzero(sq_i <= tol))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                np.divide(cap, sq_i, out=cap)  # the ratio, written straight into the output
+            cap[sq_i <= 0] = 1.0
+            np.minimum(cap, 1.0, out=cap)
     total = float(np.sum(model.sigma_all ** 2))
     qr_overall = float(np.sum(s ** 2) / total) if total > 0 else 1.0
     # Eckart-Young: ||X - A B'||_F is the norm of the discarded singular values
     residual = float(np.sqrt(np.sum(model.sigma_all[model.dims:] ** 2)))
-    return QualityReport(qr_rows=row_cap, qr_cols=col_cap,
+    return QualityReport(qr_rows=qr[0], qr_cols=qr[1],
                          qr_overall=qr_overall, residual_frobenius=residual,
-                         noise_rows=noise[0], noise_cols=noise[1])
+                         noise_rows=tuple(noise[0]), noise_cols=tuple(noise[1]))
 
 
 def reconstruct(model: BiplotModel) -> np.ndarray:

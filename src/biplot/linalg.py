@@ -18,8 +18,8 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 RANK_TOL_FACTOR = 1e-12
-# Cells in a row block of r_factor, the one blocked pass (512 KB of float64):
-# its copies stay small beside a tall matrix, which np.linalg.qr copies whole.
+# Cells in a row block of every pass over rows (512 KB of float64): r_factor's,
+# quality's and correspondence_analysis's copies stay small beside a tall matrix.
 BLOCK_CELLS = 1 << 16
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,8 +138,9 @@ def test_ca_transition_formulas():
 
 
 def test_ca_residuals_formed_by_row_blocks_keep_the_bits_of_the_whole_matrix():
-    # 2 * 4096 + 1 rows: two full blocks of residuals and a partial last one.
-    X = np.abs(np.random.default_rng(4).normal(size=(2 * 4096 + 1, 5))) + 1.0
+    # Two full blocks of residuals and a partial last one.
+    p = 5
+    X = np.abs(np.random.default_rng(4).normal(size=(2 * (linalg.BLOCK_CELLS // p) + 1, p))) + 1.0
     ca = correspondence_analysis(X, 2)
     P = X / float(X.sum())
     r, c = P.sum(axis=1), P.sum(axis=0)
@@ -153,6 +155,21 @@ def test_ca_residuals_formed_by_row_blocks_keep_the_bits_of_the_whole_matrix():
     assert [f.name for f in dataclasses.fields(ca)] == list(expected)
     for name, value in expected.items():
         assert np.array_equal(getattr(ca, name), value), name
+
+
+def test_ca_holds_the_correspondence_matrix_and_blocks_beside_the_table():
+    """numpy reports its buffers to tracemalloc: beyond the table, CA holds
+    P, with the residuals formed in it a block of linalg.BLOCK_CELLS cells at
+    a time, and the copy numpy's QR takes of it, under 2.5x the table's bytes."""
+    X = np.abs(np.random.default_rng(0).normal(size=(2000, 500))) + 1.0
+    correspondence_analysis(X, 2)  # warm-up: first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        correspondence_analysis(X, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * X.nbytes
 
 
 def test_ca_rejects_negative_and_zero_margins():

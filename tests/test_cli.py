@@ -304,6 +304,18 @@ def test_compare_ca_panel_is_the_same_beside_the_jk_fit(tmp_path):
             (tmp_path / "jk_ca" / f"t_ca.{ext}").read_bytes()
 
 
+def test_compare_ca_panel_is_the_same_beside_the_jk_fit_across_ca_blocks(tmp_path):
+    # 2000 x 100: CA forms its residuals in blocks of BLOCK_CELLS // 100 = 655 rows.
+    path = _seeded_csv(tmp_path / "t.csv", 2000, 100, 3, positive=True)
+    assert 2000 > 3 * (linalg.BLOCK_CELLS // 100)
+    for methods in ("ca", "jk,ca"):
+        out = tmp_path / methods.replace(",", "_")
+        assert main(["compare", str(path), "--methods", methods, "--out", str(out)]) == 0
+    for ext in ("json", "svg"):
+        assert (tmp_path / "ca" / f"t_ca.{ext}").read_bytes() == \
+            (tmp_path / "jk_ca" / f"t_ca.{ext}").read_bytes()
+
+
 # The CLI with an exit hook that writes its process's peak resident set
 # (VmHWM, which starts afresh at exec) to stderr.
 _PEAK_ENTRY = """import atexit, sys

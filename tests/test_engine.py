@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from biplot.data import DataTable, load_case, parse_table, preprocess
 from biplot.engine import (column_cosines, fit_biplot, gh, jk, pca_scores, pearson, quality,
                            reconstruct, row_distances, sqrt_biplot)
 from biplot.errors import InputError, NumericalError
-from biplot.linalg import low_rank_approx, right_svd, svd
+from biplot.linalg import BLOCK_CELLS, low_rank_approx, right_svd, svd
 
 
 def case_matrix(cid, mode="zscore"):
@@ -200,6 +201,64 @@ def test_quality_labels_rows_and_columns_of_rounding_size(seed):
     assert (q.noise_rows, q.noise_cols) == ((), ("c3",))
     assert 0.0 <= q.qr_cols[3] <= 1.0
     assert quality(jk(x[:, :3], 2), x[:, :3]).noise_cols == ()
+
+
+def _whole_array_quality(m, x):
+    """quality's fields by whole-array formulas: every row at once."""
+    row_sq, col_sq = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->j", x, x)
+    s, tol, fields = m.sigma_retained, 1e-9 * float(np.sum(row_sq)), {}
+    for kind, markers, power, sq, labels in (
+            ("rows", m.row_markers, 1.0 - m.gamma, row_sq, m.row_labels),
+            ("cols", m.col_markers, m.gamma, col_sq, m.col_labels)):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.sum((markers * s ** power) ** 2, axis=1) / sq
+        ratio[sq <= 0] = 1.0
+        fields[f"qr_{kind}"] = np.minimum(ratio, 1.0)
+        fields[f"noise_{kind}"] = tuple(labels[i] for i in np.flatnonzero(sq <= tol))
+    total = float(np.sum(m.sigma_all ** 2))
+    fields["qr_overall"] = float(np.sum(s ** 2) / total)
+    fields["residual_frobenius"] = float(np.sqrt(np.sum(m.sigma_all[m.dims:] ** 2)))
+    return fields
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0])
+def test_quality_by_row_blocks_keeps_the_bits_of_the_whole_array(gamma):
+    # 64 columns: blocks of 1024 rows, so two full blocks and a partial last
+    # one, with rows of rounding size in each and a column of rounding size.
+    n, p = 2 * (BLOCK_CELLS // 64) + 37, 64
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(n, 3)) @ rng.normal(size=(3, p)) + 0.01 * rng.normal(size=(n, p))
+    x[[3, 1500, 2060]] *= 1e-12
+    x[:, 5] *= 1e-16
+    m = fit_biplot(x, gamma, 2)
+    q = quality(m, x)
+    expected = _whole_array_quality(m, x)
+    assert {f.name for f in dataclasses.fields(q)} == set(expected)
+    for name, value in expected.items():
+        assert np.array_equal(getattr(q, name), value), name
+    assert (q.noise_rows, q.noise_cols) == (("r3", "r1500", "r2060"), ("c5",))
+    # A row of the second block that is not the fitted one is named by its own label.
+    bad = x.copy()
+    bad[1200] *= 0.5
+    with pytest.raises(NumericalError, match="^row 'r1200' has quality above 1"):
+        quality(m, bad)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_quality_holds_its_outputs_and_one_block(gamma):
+    """numpy reports its buffers to tracemalloc: quality holds the n squared
+    row norms, the n ratios and a block of linalg.BLOCK_CELLS cells at a time."""
+    n, p = 100000, 20
+    x = np.random.default_rng(0).normal(size=(n, p))
+    m = fit_biplot(x, gamma, 3)
+    quality(m, x)  # warm-up: first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        quality(m, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * n + 2 * BLOCK_CELLS) * 8
 
 
 def test_jk_row_metric_preservation():
