@@ -72,15 +72,16 @@ def _analyze(args, source=None, **options) -> int:
     on the ``source`` table, else case ``args.case_id``, write, print the fit."""
     _refuse_outputs(source, [path for path in (args.json, args.svg) if path is not None])
     from . import report, data  # report first: the peak resident set is ~0.15 MB lower
-    table = _read_table(source) if source is not None else data.load_case(args.case_id)
-    model, qual, rep = report.analyze(table, **options, overwrite_table=True)
+    # Unnamed, the table and its z-scored buffer are freed when the fit returns, before the writes.
+    model, qual, rep = report.analyze(_read_table(source) if source is not None else
+                                      data.load_case(args.case_id), **options, overwrite_table=True)
     artifacts = []
     if args.json is not None:
         artifacts.append((args.json, rep.json_lines()))
     if args.svg is not None:
         artifacts.append((args.svg, report.svg_lines(model, qual)))
     _write_all(artifacts)
-    print(f"{table.name}: qr_overall = {qual.qr_overall:.4f} ({rep.method['name']}, "
+    print(f"{rep.dataset['name']}: qr_overall = {qual.qr_overall:.4f} ({rep.method['name']}, "
           f"dims={rep.method['dims']}, scale={rep.preprocess['mode']})")
     return EXIT_OK
 

@@ -79,17 +79,17 @@ def parse_table(source, name: str) -> DataTable:
     the first offending row or cell.
 
     The body is read in chunks of about ``CHUNK_CHARS`` characters of whole
-    lines: each line's label is split off, and the chunk's numbers are read
-    as one JSON array by orjson, whose float reader rounds exactly as
-    ``float()`` does. Only one chunk's text and Python numbers are held at
-    a time; the values go into one growing float64 buffer. Whatever that
-    stricter reader does not read exactly as ``float()`` would (``1_000``,
-    ``+1``, ``.5``, ``nan``, non-ASCII digits, an integer ``-0``, malformed
-    rows, a quoted label across a line break, a quote in a number, lines
-    over csv's field size limit, a stream that does not report universal
-    newlines) is parsed again from the start by the per-cell ``csv`` +
-    ``float()`` parser, which accepts it or raises the error that names
-    the row or cell.
+    lines: each line's label is split off, and the chunk's numbers are read as
+    one JSON array by orjson, whose float reader rounds exactly as ``float()``
+    does. Only one chunk's text and Python numbers are held at a time; the
+    values go into one growing float64 buffer. Whatever that stricter reader
+    does not read exactly as ``float()`` would (``1_000``, ``+1``, ``.5``,
+    ``nan``, non-ASCII digits, an integer ``-0``, malformed rows, a run of
+    blank lines longer than a chunk, a quoted label across a line break, a
+    quote in a number, lines over csv's field size limit, a stream that does
+    not report universal newlines) is parsed again from the start by the
+    per-cell ``csv`` + ``float()`` parser, which accepts it or raises the error
+    that names the row or cell.
     """
     source = _text_stream(source)
     start = source.tell()
@@ -183,14 +183,10 @@ def _parse_fast(fh, name: str) -> DataTable:
                 if quoted is None:
                     raise ValueError("quoted label not closed before a comma on its line")
                 label, rest = quoted[1].replace('""', '"'), line[quoted.end():]
-            elif not comma:
-                if _strip_label(line):
-                    raise ValueError("row without fields")
-                continue
+            elif not (comma or _strip_label(line)):
+                continue  # a blank line; one without fields fails the field count below
             labels.append(label)
             rests.append(rest)
-        if not rests:
-            continue
         text = "[[" + "],[".join(rests) + "]]"
         # Numbers only: no string, true, false, null or object here, and
         # fromiter refuses a row that is not an array or a nested array.

@@ -77,6 +77,10 @@ def test_mds_input_validation():
         classical_mds(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
     with pytest.raises(InputError, match="nonnegative"):
         classical_mds(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1)
+    with pytest.raises(InputError, match=r"^distance matrix must be square, got \(3, 2\)$"):
+        classical_mds(np.zeros((3, 2)), 1)
+    with pytest.raises(InputError, match="^dims must be positive, got 0$"):
+        classical_mds(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
 
 
 def test_mds_range_rule_at_every_scale():
@@ -189,6 +193,15 @@ def test_ca_rejects_negative_and_zero_margins():
         correspondence_analysis(np.array([[1e300, 1, 1], [1, 1, 2], [1, 2, 1], [2, 1, 1]]), 2)
     with pytest.raises(InputError, match="all-zero.*column '0' has mass 4.29e-321"):
         correspondence_analysis(np.array([[1e-320, 1, 2], [2e-320, 3, 1], [3e-320, 2, 5]]), 2)
+
+
+@pytest.mark.parametrize("dims", [0, 3])
+def test_ca_dims_must_lie_below_the_smaller_side(dims):
+    # A 5x3 table has min(5, 3) - 1 = 2 axes of inertia.
+    X = np.arange(1.0, 16.0).reshape(5, 3)
+    with pytest.raises(InputError, match=rf"^dims must lie in \[1, 2\] for a 5x3 table, "
+                                         rf"got {dims}$"):
+        correspondence_analysis(X, dims)
 
 
 def test_pca_map_scores_uncorrelated():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -514,7 +515,38 @@ def test_too_long_an_output_name_exits_2_without_a_traceback(tmp_path, case1_csv
     assert [p.name for p in tmp_path.iterdir()] == ["case1.csv"]
 
 
-@pytest.mark.parametrize("fault", ["ragged", "nonfinite", "constant", "huge", "tiny", "ca_total",
+def test_a_failed_second_write_removes_the_first_artifact(tmp_path, case1_csv, capsys):
+    """The JSON report is written, then the SVG's too long a name fails: the report made
+    by the same call is removed, so the command leaves nothing behind."""
+    report_path, target = tmp_path / "r.json", tmp_path / ("a" * 300 + ".svg")
+    assert main(["analyze", str(case1_csv), "--json", str(report_path), "--svg", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["case1.csv"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "case"])
+def test_the_table_is_freed_before_the_writes(tmp_path, case1_csv, monkeypatch, command):
+    """``analyze`` and ``case`` name no parsed table after the fit, so it and the buffer it
+    was z-scored in are gone by the time the artifacts are written."""
+    refs, fit, write_all = [], report.analyze, cli._write_all
+
+    def analyze_by_ref(table, **options):
+        refs.extend([weakref.ref(table), weakref.ref(table._buffer)])
+        return fit(table, **options)
+
+    def write_after_free(artifacts):
+        assert [ref() for ref in refs] == [None, None]
+        write_all(artifacts)
+
+    monkeypatch.setattr(report, "analyze", analyze_by_ref)
+    monkeypatch.setattr(cli, "_write_all", write_after_free)
+    argv = ["analyze", str(case1_csv)] if command == "analyze" else ["case", "1"]
+    assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
+    assert len(refs) == 2 and (tmp_path / "r.json").is_file()
+
+
+@pytest.mark.parametrize("fault",["ragged", "nonfinite", "constant", "huge", "tiny", "ca_total",
                                    "ca_row_mass", "ca_col_mass", "dims", "gamma", "unwritable",
                                    "no_convergence"])
 @settings(max_examples=15, deadline=None)

@@ -221,6 +221,23 @@ def test_datatable_rejects_nonfinite():
                   np.array([[1.0, 2.0], [np.nan, 4.0], [5.0, 6.0]]))
 
 
+def test_datatable_rejects_values_of_the_wrong_shape():
+    with pytest.raises(InputError, match=r"^table 't' values must be 3x2, got \(2, 3\)$"):
+        DataTable("t", ("a", "b", "c"), ("x", "y"), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("parse", [parse_table, _parse_reference])
+@pytest.mark.parametrize("text", ["", b""])
+def test_empty_input_asks_for_a_header(parse, text):
+    with pytest.raises(InputError, match="^'t': empty input, expected a header row$"):
+        parse(text, "t")
+
+
+def test_preprocess_rejects_an_unknown_mode():
+    with pytest.raises(InputError, match="^unknown preprocessing mode 'whiten'$"):
+        preprocess(parse_table(MINIMAL, "m"), "whiten")
+
+
 # Differential test: parse_table (orjson's reader in chunks, with a
 # fallback) against the per-cell csv + float() reference parser on
 # generated CSV text.
@@ -386,3 +403,40 @@ def test_bad_cell_in_the_last_chunk_names_row_and_column():
     with pytest.raises(InputError, match=r"non-numeric value '2\.\.5' at row 'r99998', "
                                          r"column 'b'"):
         parse_table(text, "t")
+
+
+# Lines the fast path skips (blank ones) or leaves to the chunk's field-count
+# check (a line without fields), and cells that are JSON but not numbers: the
+# fast path gives the reference parser's table or the same error text. The
+# "n" scan of _parse_fast must stay: without it np.fromiter reads orjson's
+# None for ``null`` as NaN, and the table is refused as "non-finite" where
+# the reference parser names a "non-numeric value".
+_FORTY = [f"r{i},{i}.25,-{i}e-3" for i in range(40)]
+
+
+def _assert_parsed_as_reference(text: str):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(parse_table, text) == _outcome(_parse_reference, text)
+
+
+@pytest.mark.parametrize("at", [0, 20, 40], ids=["start", "middle", "end"])
+@pytest.mark.parametrize("line", ["", "  ", "\t", "r9", "x,", ","])
+def test_a_line_without_fields_parses_as_the_reference(line, at):
+    _assert_parsed_as_reference(",a,b\n" + "\n".join(_FORTY[:at] + [line] + _FORTY[at:]) + "\n")
+
+
+@pytest.mark.parametrize("blank", ["\n", " \n", "\r\n"])
+def test_blank_lines_longer_than_a_chunk_parse_as_the_reference(blank):
+    run = blank * (biplot.data.CHUNK_CHARS // len(blank) + 10)
+    text = ",a,b\n" + "\n".join(_FORTY[:20]) + "\n" + run + "\n".join(_FORTY[20:]) + "\n"
+    _assert_parsed_as_reference(text)
+    assert parse_table(text, "t").shape == (40, 2)
+
+
+@pytest.mark.parametrize("cell", ["null", "{}", "true", "NaN"])
+def test_json_values_that_are_not_numbers_parse_as_the_reference(cell):
+    rows = _FORTY[:20] + [f"x,{cell},1"] + _FORTY[20:]
+    _assert_parsed_as_reference(",a,b\n" + "\n".join(rows) + "\n")
+    kind = "non-finite value" if cell == "NaN" else f"non-numeric value {cell!r} at row 'x'"
+    assert kind in _outcome(parse_table, ",a,b\n" + "\n".join(rows) + "\n")[1]

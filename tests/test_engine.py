@@ -6,8 +6,8 @@ import pytest
 
 from biplot.baselines import classical_mds, correspondence_analysis
 from biplot.data import DataTable, load_case, parse_table, preprocess
-from biplot.engine import (column_cosines, fit_biplot, gh, jk, pca_scores, pearson, quality,
-                           reconstruct, row_distances, sqrt_biplot)
+from biplot.engine import (column_correlations, column_cosines, fit_biplot, gh, jk, pca_scores,
+                           pearson, quality, reconstruct, row_distances, sqrt_biplot)
 from biplot.errors import InputError, NumericalError
 from biplot.linalg import BLOCK_CELLS, low_rank_approx, right_svd, svd
 
@@ -38,6 +38,14 @@ def test_gamma_bounds_and_dims_checked():
         fit_biplot(x, gamma=-0.1, dims=2)
     with pytest.raises(InputError):
         fit_biplot(x, gamma=0.5, dims=3)
+
+
+def test_fit_biplot_needs_one_label_per_row_and_column():
+    x = np.diag([3.0, 2.0, 1.0])
+    for labels in [dict(row_labels=("a", "b")), dict(col_labels=("a", "b", "c", "d"))]:
+        with pytest.raises(InputError, match=r"^label counts \(\d, \d\) do not match matrix "
+                                             r"shape \(3, 3\)$"):
+            fit_biplot(x, gamma=1.0, dims=2, **labels)
 
 
 @pytest.mark.parametrize("x, says", [
@@ -383,6 +391,18 @@ def test_pca_score_variance():
 def test_pca_scores_requires_centered_input():
     with pytest.raises(InputError, match="centered"):
         pca_scores(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), 1)
+
+
+def test_pca_scores_dims_above_the_rank_rejected():
+    x = np.outer([1.0, -1.0, 0.0], [1.0, 2.0])  # centered, rank 1
+    with pytest.raises(InputError, match=r"^dims must lie in \[1, rank=1\], got 2$"):
+        pca_scores(x, 2)
+
+
+def test_column_correlations_names_a_constant_column():
+    x = np.array([[1.0, 0.0, 2.0], [-1.0, 0.0, -1.0], [0.0, 0.0, -1.0]])  # centered
+    with pytest.raises(InputError, match="^column 'b' is constant; correlation undefined$"):
+        column_correlations(x, ("a", "b", "c"))
 
 
 def test_case1_size_axis_dominated_by_germany():

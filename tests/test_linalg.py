@@ -259,6 +259,20 @@ def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
         set_(before)
 
 
+def test_no_bundled_openblas_gives_no_thread_functions(monkeypatch):
+    """Without a ``libscipy_openblas64_*`` file beside numpy the lookup gives None, and the
+    pin does nothing; the cache is cleared on both sides so the real lookup comes back."""
+    monkeypatch.setattr(linalg.os, "listdir", lambda path: ["libgfortran.so"])
+    linalg._openblas_threads.cache_clear()
+    try:
+        assert linalg._openblas_threads() is None
+        with linalg.one_blas_thread():
+            assert linalg.svd(np.eye(2)).rank == 2
+    finally:
+        monkeypatch.undo()
+        linalg._openblas_threads.cache_clear()
+
+
 def test_one_blas_thread_overlapping_threads_restore_the_count():
     """Pins that overlap across more threads than cores each see one
     thread, and the caller's count comes back after the last."""

@@ -193,6 +193,15 @@ def test_scatter_needs_one_label_per_point():
         scatter_lines(rows, ("a",), "t")
 
 
+def test_scatter_needs_two_columns_of_coordinates():
+    says = r"^scatter rendering needs n x 2 coordinates, got "
+    with pytest.raises(InputError, match=says + r"\(3, 3\)$"):
+        scatter_lines(np.zeros((3, 3)), ("a", "b", "c"), "t")
+    with pytest.raises(InputError, match=says + r"\(2, 1\)$"):
+        scatter_lines(np.zeros((3, 2)), ("a", "b", "c"), "t", col_coords=np.zeros((2, 1)),
+                      col_labels=("c", "d"))
+
+
 def test_scatter_needs_finite_nonempty_coordinates():
     rows, cols = np.zeros((150, 2)), np.ones((2, 2))
     rows[7, 1] = cols[1, 0] = np.nan
