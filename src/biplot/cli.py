@@ -5,7 +5,6 @@ to compute, so ``--help``, a refused request and ``case N --dump-csv`` never loa
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from pathlib import Path
@@ -16,6 +15,7 @@ from .errors import InputError, NumericalError
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+_METHODS = ("jk", "pca", "mds", "ca")  # compare's panels, in their default order
 
 
 def _read_table(path: str):
@@ -93,23 +93,11 @@ def _cmd_analyze(args) -> int:
     return _analyze(args, args.input, gamma=gamma, dims=args.dims, scale=args.scale)
 
 
-# Each panel maps (table, fit) to (JSON lines, SVG lines, 2-D share). ``fit``
-# returns the table's z-scored JK analysis, computed once on first use:
-# by the Torgerson duality the PCA scores and the classical MDS
-# configuration of the Euclidean row distances are its row markers.
-
-def _jk_panel(table, fit):
-    from . import report
-    model, qual, rep = fit()
-    return rep.json_lines(), report.svg_lines(model, qual), qual.qr_overall
-
-
-def _row_panel(method: str, table, fit):
-    """The ``pca`` or ``mds`` panel: the JK row markers, as PCA scores
-    with their axis shares, or as MDS coordinates under the sign rule of
-    ``classical_mds`` with the eigenvalues and strain."""
+def _row_panel(method: str, table, model, qual):
+    """The ``pca`` or ``mds`` panel as (JSON lines, SVG lines, 2-D share): by the Torgerson
+    duality, the JK row markers, as PCA scores with their axis shares, or as MDS coordinates
+    under the sign rule of ``classical_mds`` with the eigenvalues and strain."""
     from . import linalg, report
-    model, qual, _ = fit()
     coords, share = model.row_markers, qual.qr_overall
     if method == "pca":
         title, axes, extras = "PCA", model.axis_variance_shares() * 100.0, {"scores": coords}
@@ -124,8 +112,14 @@ def _row_panel(method: str, table, fit):
     return report.json_lines(doc), svg, share
 
 
-def _ca_panel(table, fit):
+def _ca_panel(table):
+    """The ``ca`` panel as (JSON lines, SVG lines, 2-D share), from the raw values."""
     from . import baselines, report
+    if table.shape[1] < 3:
+        baselines.ca_input(table)  # whose refusal comes first, as in correspondence_analysis
+        raise InputError(f"the ca panel needs at least 3 columns for its two axes, and "
+                         f"{table.name!r} is {table.shape[0]}x{table.shape[1]}; "
+                         "leave it out with --methods jk,pca,mds")
     ca = baselines.correspondence_analysis(table, 2)
     share = float(ca.inertias.sum() / ca.total_inertia)
     doc = {"method": "ca", "row_coords": ca.row_coords, "col_coords": ca.col_coords,
@@ -150,17 +144,13 @@ def _ca_warnings(col_labels, masses) -> list[str]:
             "profiles may not be meaningful"]
 
 
-_PANELS = {"jk": _jk_panel, "pca": functools.partial(_row_panel, "pca"),
-           "mds": functools.partial(_row_panel, "mds"), "ca": _ca_panel}
-
-
 def _cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise InputError("--methods must name at least one method")
     for m in methods:
-        if m not in _PANELS:
-            raise InputError(f"unknown method {m!r}; choose from {', '.join(_PANELS)}")
+        if m not in _METHODS:
+            raise InputError(f"unknown method {m!r}; choose from {', '.join(_METHODS)}")
         if methods.count(m) > 1:
             raise InputError(f"method {m!r} is named more than once in --methods")
     out_dir = Path(args.out)
@@ -169,19 +159,21 @@ def _cmd_compare(args) -> int:
     paths = [out_dir / f"{slug}_{m}.{ext}" for m in methods for ext in ("json", "svg")]
     paths.append(out_dir / f"{slug}_summary.json")
     _refuse_outputs(args.input, paths, out_dir)
-    from . import report, baselines, data  # report first, as in _analyze
+    from . import report, data  # report first, as in _analyze
     table = _read_table(args.input)
-    if "ca" in methods and table.shape[1] < 3:  # refused before any work
-        baselines.ca_input(table)  # whose refusal comes first, as in the panel
-        raise InputError(f"the ca panel needs at least 3 columns for its two axes, and "
-                         f"{table.name!r} is {table.shape[0]}x{table.shape[1]}; "
-                         "leave it out with --methods jk,pca,mds")
-    if "ca" in methods and len(methods) > 1:  # the fit's column rule is named before ca's
-        data.refuse_unusable_column(table, "zscore")
-    # The ca panel reads the raw values, so it is built first; the fit then z-scores them in place.
-    fit = functools.cache(lambda: report.analyze(table, overwrite_table=True))
     # Every panel checks its inputs before any file is written; each writes its own files.
-    panels = {m: _PANELS[m](table, fit) for m in sorted(methods, key="ca".__ne__)}
+    panels = {}
+    if "ca" in methods:  # first: it reads the raw values, which the fit z-scores in place
+        try:
+            panels["ca"] = _ca_panel(table)
+        except InputError:  # a table both refuse is named by the fit's column rule
+            if len(methods) > 1:
+                data.refuse_unusable_column(table, "zscore")
+            raise
+    if fits := [m for m in methods if m != "ca"]:  # the z-scored JK fit's panels
+        model, qual, rep = report.analyze(table, overwrite_table=True)
+        panels.update({m: (rep.json_lines(), report.svg_lines(model, qual), qual.qr_overall)
+                       if m == "jk" else _row_panel(m, table, model, qual) for m in fits})
     summary = [{"method": m, "share_2d": panels[m][2]} for m in methods]
     lines = [part for m in methods for part in panels[m][:2]]
     lines.append(report.json_lines({"dataset": table.name, "methods": summary}))
@@ -220,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare biplot with PCA/MDS/CA panels")
     p.add_argument("input")
-    p.add_argument("--methods", default=",".join(_PANELS))
+    p.add_argument("--methods", default=",".join(_METHODS))
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_compare)
 

@@ -36,10 +36,11 @@ class DataTable:
         if n < MIN_ROWS or p < MIN_COLS:
             raise InputError(f"table {self.name!r} needs at least {MIN_ROWS} rows and "
                              f"{MIN_COLS} columns, got {n}x{p}")
-        if len(set(self.row_labels)) != n:
-            raise InputError(f"table {self.name!r} has duplicate row labels")
-        if len(set(self.col_labels)) != p:
-            raise InputError(f"table {self.name!r} has duplicate column labels")
+        for kind, labels in (("row", self.row_labels), ("column", self.col_labels)):
+            if len(set(labels)) != len(labels):  # then one pass finds the first repeat
+                seen = set()
+                label = next(x for x in labels if x in seen or seen.add(x))
+                raise InputError(f"table {self.name!r} has duplicate {kind} label {label!r}")
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.shape != (n, p):
             raise InputError(f"table {self.name!r} values must be {n}x{p}, got {v.shape}")
@@ -114,13 +115,14 @@ def _text_stream(source):
 
 
 def _records(reader, name: str):
-    """The ``(row number, cells)`` pairs of a ``csv`` reader, counted from 1
-    at the header. A ``csv.Error`` (such as a field over csv's size limit)
-    becomes an InputError naming the row."""
+    """The ``(row number, cells)`` pairs of a ``csv`` reader, counted from 1 at
+    the first line, without the blank ones (empty or whitespace only). A
+    ``csv.Error`` (such as a field over csv's size limit) becomes an InputError naming the row."""
     row = 0
     try:
         for row, cells in enumerate(reader, start=1):
-            yield row, cells
+            if cells and (len(cells) > 1 or _strip_label(cells[0])):
+                yield row, cells
     except csv.Error as exc:
         raise InputError(f"{name!r}: row {row + 1}: {exc}") from None
 
@@ -215,8 +217,6 @@ def _parse_reference(source, name: str) -> DataTable:
     row_labels: list[str] = []
     rows: list[list[float]] = []
     for lineno, cells in records:
-        if not cells or (len(cells) == 1 and not _strip_label(cells[0])):
-            continue
         if len(cells) != len(col_labels) + 1:
             raise InputError(f"{name!r}: row {lineno} ({cells[0]!r}) has {len(cells) - 1} "
                              f"fields, expected {len(col_labels)}")

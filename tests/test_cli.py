@@ -317,6 +317,52 @@ def test_compare_ca_panel_is_the_same_beside_the_jk_fit_across_ca_blocks(tmp_pat
             (tmp_path / "jk_ca" / f"t_ca.{ext}").read_bytes()
 
 
+def test_a_default_compare_makes_one_column_pass(tmp_path, case1_csv, monkeypatch):
+    # The fit's column rule runs once, in preprocess, after the ca panel is built.
+    calls, rule = [], biplot.data.refuse_unusable_column
+
+    def counting_rule(table, undefined):
+        calls.append(undefined)
+        return rule(table, undefined)
+
+    monkeypatch.setattr("biplot.data.refuse_unusable_column", counting_rule)
+    assert main(["compare", str(case1_csv), "--out", str(tmp_path / "panels")]) == 0
+    assert calls == ["zscore"]
+    assert len(list((tmp_path / "panels").iterdir())) == 9
+
+
+def test_compare_names_the_fits_column_rule_where_the_ca_panel_refuses_too(tmp_path, capsys):
+    # Two columns, one constant: the ca panel and the fit both refuse the table, and a
+    # compare that asks for both names the fit's rule; the ca panel alone names its own.
+    path, out = tmp_path / "two.csv", tmp_path / "panels"
+    path.write_text(",a,b\nr1,1,2\nr2,3,2\nr3,5,2\nr4,2,2\n", encoding="utf-8")
+    assert main(["compare", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: column 'b' is constant; zscore undefined\n"
+    assert main(["compare", str(path), "--methods", "ca", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ca panel needs at least 3 columns") and "4x2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", ["pca", "mds,ca", "ca,jk", "jk,pca,mds"])
+@pytest.mark.parametrize("source", ["case1", "400x30"])
+def test_any_subset_of_methods_writes_the_panels_of_the_full_run(tmp_path, case1_csv, source,
+                                                                  methods):
+    path = (case1_csv if source == "case1"
+            else _seeded_csv(tmp_path / "t.csv", 400, 30, 4, positive=True))
+    for out, chosen in (("full", "jk,pca,mds,ca"), ("part", methods)):
+        assert main(["compare", str(path), "--methods", chosen, "--out", str(tmp_path / out)]) == 0
+    names = [f"{path.stem}_{m}.{ext}" for m in methods.split(",") for ext in ("json", "svg")]
+    assert sorted(f.name for f in (tmp_path / "part").iterdir()) == sorted(
+        names + [f"{path.stem}_summary.json"])
+    for name in names:
+        assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    shares = [{e["method"]: e["share_2d"] for e in json.loads(
+        (tmp_path / out / f"{path.stem}_summary.json").read_text())["methods"]}
+        for out in ("full", "part")]
+    assert shares[1] == {m: shares[0][m] for m in methods.split(",")}
+
+
 # The CLI with an exit hook that writes its process's peak resident set
 # (VmHWM, which starts afresh at exec) to stderr.
 _PEAK_ENTRY = """import atexit, sys

@@ -35,10 +35,15 @@ def test_parse_rejects_ragged_row():
 
 
 def test_parse_rejects_duplicate_labels():
-    with pytest.raises(InputError, match="duplicate row"):
+    with pytest.raises(InputError, match="^table 'bad' has duplicate row label 'r1'$"):
         parse_table(",a,b\nr1,1,2\nr1,3,4\nr3,5,6\n", "bad")
-    with pytest.raises(InputError, match="duplicate column"):
+    with pytest.raises(InputError, match="^table 'bad' has duplicate column label 'a'$"):
         parse_table(",a,a\nr1,1,2\nr2,3,4\nr3,5,6\n", "bad")
+    # The first label that repeats an earlier one, not the first that is repeated.
+    with pytest.raises(InputError, match="^table 'bad' has duplicate row label 'y'$"):
+        parse_table(",a,b\nx,1,2\ny,3,4\ny,5,6\nx,7,8\n", "bad")
+    with pytest.raises(InputError, match="^table 'bad' has duplicate column label 'v'$"):
+        DataTable("bad", ("r1", "r2", "r3"), ("u", "v", "v", "u"), np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("parse", [parse_table, _parse_reference])
@@ -227,7 +232,7 @@ def test_datatable_rejects_values_of_the_wrong_shape():
 
 
 @pytest.mark.parametrize("parse", [parse_table, _parse_reference])
-@pytest.mark.parametrize("text", ["", b""])
+@pytest.mark.parametrize("text", ["", b"", "\n\n", " \t\n"])
 def test_empty_input_asks_for_a_header(parse, text):
     with pytest.raises(InputError, match="^'t': empty input, expected a header row$"):
         parse(text, "t")
@@ -420,10 +425,15 @@ def _assert_parsed_as_reference(text: str):
         assert _outcome(parse_table, text) == _outcome(_parse_reference, text)
 
 
-@pytest.mark.parametrize("at", [0, 20, 40], ids=["start", "middle", "end"])
+@pytest.mark.parametrize("at", [-1, 0, 20, 40], ids=["header", "start", "middle", "end"])
 @pytest.mark.parametrize("line", ["", "  ", "\t", "r9", "x,", ","])
 def test_a_line_without_fields_parses_as_the_reference(line, at):
-    _assert_parsed_as_reference(",a,b\n" + "\n".join(_FORTY[:at] + [line] + _FORTY[at:]) + "\n")
+    lines = [",a,b", *_FORTY]
+    lines.insert(at + 1, line)  # at -1, before the header
+    text = "\n".join(lines) + "\n"
+    _assert_parsed_as_reference(text)
+    if not line.strip():  # a blank line, before the header too, is skipped
+        assert parse_table(text, "t").shape == (40, 2)
 
 
 @pytest.mark.parametrize("blank", ["\n", " \n", "\r\n"])
