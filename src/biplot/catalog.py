@@ -1,9 +1,23 @@
-"""The embedded case-study tables and the named biplot types: what the CLI
-reads before any command computes, so nothing here needs numpy."""
+"""The embedded case-study tables, the named biplot types and scales, and the gamma and
+SVG-axes rules: what the CLI reads and judges before it computes, so nothing here needs numpy."""
 
 from .errors import InputError
 
 GAMMA_BY_TYPE = {"jk": 1.0, "gh": 0.0, "sqrt": 0.5}
+SCALES = ("none", "center", "zscore")  # the preprocessing modes
+
+
+def method_name(gamma: float) -> str:
+    """The type of ``gamma`` (jk, gh or sqrt), else "biplot"; InputError outside [0, 1] or NaN."""
+    if not 0.0 <= gamma <= 1.0:
+        raise InputError(f"gamma must lie in [0, 1], got {gamma}")
+    return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
+
+
+def refuse_svg_axes(dims: int) -> None:
+    """InputError unless ``dims`` is 2, the axes an SVG biplot draws."""
+    if dims != 2:
+        raise InputError(f"SVG rendering requires a 2-D model, got dims={dims}")
 
 # Case-study fixtures. Values are kept verbatim as published.
 

@@ -9,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from .catalog import GAMMA_BY_TYPE, case_csv
+from .catalog import CASES, GAMMA_BY_TYPE, SCALES, case_csv, method_name, refuse_svg_axes
 from .errors import InputError, NumericalError
 
 EXIT_OK = 0
@@ -90,6 +90,9 @@ def _cmd_analyze(args) -> int:
     if args.type is not None and args.gamma is not None:
         raise InputError("--type and --gamma are mutually exclusive")
     gamma = args.gamma if args.gamma is not None else GAMMA_BY_TYPE[args.type or "jk"]
+    method_name(gamma)  # the library's rules, judged here before the outputs and the read
+    if args.svg is not None:
+        refuse_svg_axes(args.dims)
     return _analyze(args, args.input, gamma=gamma, dims=args.dims, scale=args.scale)
 
 
@@ -184,15 +187,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_case(args) -> int:
-    others = [f"--{key}" for key in ("json", "svg") if getattr(args, key) is not None]
-    if args.dump_csv is not None and others:
+    if args.dump_csv is None:
+        return _analyze(args)
+    if others := [f"--{key}" for key in ("json", "svg") if getattr(args, key) is not None]:
         raise InputError(f"--dump-csv cannot be combined with {' or '.join(others)}")
-    if args.dump_csv is not None:
-        _refuse_outputs(None, [args.dump_csv])
-        _write_all([(args.dump_csv, [case_csv(args.case_id)])])
-        print(f"wrote {args.dump_csv}")
-        return EXIT_OK
-    return _analyze(args)
+    _refuse_outputs(None, [args.dump_csv])
+    _write_all([(args.dump_csv, [case_csv(args.case_id)])])
+    print(f"wrote {args.dump_csv}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=tuple(GAMMA_BY_TYPE))
     p.add_argument("--gamma", type=float)
     p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--scale", choices=("none", "center", "zscore"), default="zscore")
+    p.add_argument("--scale", choices=SCALES, default="zscore")
     p.add_argument("--json")
     p.add_argument("--svg")
     p.set_defaults(func=_cmd_analyze)
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("case", help="run or dump an embedded case study")
-    p.add_argument("case_id", type=int, choices=(1, 2, 3))
+    p.add_argument("case_id", type=int, choices=tuple(CASES))
     p.add_argument("--dump-csv")
     p.add_argument("--json")
     p.add_argument("--svg")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .catalog import CASES, case_csv
+from .catalog import CASES, SCALES, case_csv
 from .errors import InputError
 
 MIN_ROWS = 3
@@ -283,7 +283,7 @@ def preprocess(t: DataTable, mode: str = "zscore",
     ``overwrite_a``) into a parsed table's own buffer. zscore divides the
     centered matrix in place by sds from ``np.einsum``'s column sums of
     squares, the bits of ``x.std(axis=0, ddof=1)`` on the row-major table."""
-    if mode not in ("none", "center", "zscore"):
+    if mode not in SCALES:
         raise InputError(f"unknown preprocessing mode {mode!r}")
     x, p = t.values, t.shape[1]
     out = t._buffer if overwrite_table else None

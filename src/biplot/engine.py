@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .catalog import GAMMA_BY_TYPE
+from .catalog import GAMMA_BY_TYPE, method_name
 from .data import DataTable, refuse_unusable_column
 from .errors import InputError, NumericalError
 
@@ -66,8 +66,7 @@ def fit_biplot(x, gamma: float, dims: int = 2,
 
     The engine never re-centers; pass the output of ``data.preprocess``.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise InputError(f"gamma must lie in [0, 1], got {gamma}")
+    method_name(gamma)  # refuses a gamma outside [0, 1]
     m = np.asarray(x, dtype=float)
     sigma, V, rank = linalg.right_svd(m)  # refuses m by linalg.as_matrix
     if not 1 <= dims <= rank:

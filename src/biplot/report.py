@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import orjson
 
+from .catalog import method_name, refuse_svg_axes
 from .data import DataTable, preprocess, refuse_unusable_column
-from .engine import (GAMMA_BY_TYPE, BiplotModel, QualityReport, column_correlations,
-                     column_cosines, fit_biplot, quality)
+from .engine import (BiplotModel, QualityReport, column_correlations, column_cosines, fit_biplot,
+                     quality)
 from .errors import InputError
-from .linalg import as_matrix, one_blas_thread
+from .linalg import as_matrix, frozen_result, one_blas_thread
 
 # Widest table whose report holds the p x p correlations and cosines: every paper
 # table fits; past it they grow into nearly all of the report, and past reading.
@@ -20,13 +20,13 @@ _BLOCKS_MAX_COLS = 64
 _JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
-@dataclass(frozen=True)
+@frozen_result
 class AnalysisReport:
     """Complete, serializable result of one biplot analysis.
 
     A report built by ``analyze`` holds its numeric blocks (the singular
     values, both marker sets, ``qr_rows``, ``qr_cols``, the correlations
-    and the cosines) as numpy arrays, the model's and the quality's own;
+    and the cosines) as read-only numpy arrays, the model's and the quality's own;
     one read back by ``from_json`` holds them as nested lists. Both write
     the same JSON text, so compare reports by ``to_json()``, not ``==``.
     Above ``_BLOCKS_MAX_COLS`` columns the two blocks are ``None``, not in the JSON.
@@ -87,17 +87,13 @@ def _json_pieces(value, depth: int):
         yield text[depth * (depth + 3):len(text) - depth * (depth + 1)]
 
 
-def method_name(gamma: float) -> str:
-    """The biplot type of ``gamma`` (jk, gh or sqrt), else "biplot"."""
-    return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
-
-
 def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2, scale: str = "zscore",
             overwrite_table: bool = False) -> tuple[BiplotModel, QualityReport, AnalysisReport]:
-    """The analysis pipeline: preprocess ``table``, fit the rank-``dims``
-    biplot, judge its quality of representation and assemble the report.
-    OpenBLAS runs on one thread throughout, so the results are the same
-    bits at any thread count. ``overwrite_table`` is passed on to ``preprocess``."""
+    """The analysis pipeline: preprocess ``table``, fit the rank-``dims`` biplot, judge its
+    quality of representation and assemble the report; a ``gamma`` outside [0, 1] is refused
+    before the table is touched. OpenBLAS runs on one thread throughout, so the results are
+    the same bits at any thread count. ``overwrite_table`` is passed on to ``preprocess``."""
+    name = method_name(gamma)
     if scale != "zscore":  # preprocess refuses a zscore table itself
         refuse_unusable_column(table, "correlation")  # at every width, before any work
     with one_blas_thread():
@@ -126,7 +122,7 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2, scale: str = "z
             "sds": list(record.sds),
         },
         method={
-            "name": method_name(model.gamma),
+            "name": name,
             "gamma": model.gamma,
             "dims": model.dims,
         },
@@ -265,8 +261,7 @@ def svg_lines(model: BiplotModel, quality: QualityReport):
     that the longest is 40% of the largest row coordinate, and axes
     annotated with variance shares. The model and the scale are checked
     when this is called, before any line is generated."""
-    if model.dims != 2:
-        raise InputError(f"SVG rendering requires a 2-D model, got dims={model.dims}")
+    refuse_svg_axes(model.dims)
     A, B = model.row_markers, model.col_markers
     vector_scale = 0.4 * _extent(A) / (float(np.max(np.linalg.norm(B, axis=1))) or 1.0)
     B = B * vector_scale

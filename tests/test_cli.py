@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 import biplot
 from biplot import cli, linalg, report
 from biplot.baselines import classical_mds
-from biplot.cli import main
+from biplot.catalog import CASES, GAMMA_BY_TYPE, SCALES
+from biplot.cli import build_parser, main
 from biplot.data import (DataTable, case_csv, load_case, parse_table, preprocess,
                          serialize_table)
+from biplot.errors import InputError
 from biplot.report import analyze, svg_lines
 
 
@@ -58,6 +61,20 @@ def test_analyze_type_gamma_mutually_exclusive(case1_csv, capsys):
 def test_analyze_gamma_out_of_range(case1_csv, capsys):
     assert main(["analyze", str(case1_csv), "--gamma", "1.5"]) == 2
     assert "gamma must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+
+def test_the_parsers_choices_are_the_librarys_vocabularies():
+    """``--type``, ``--scale`` and ``case``'s id offer what the library names, and
+    ``preprocess`` takes every scale the parser offers and refuses any other."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {(command, action.dest): action.choices for command, parser in sub.choices.items()
+               for action in parser._actions if action.choices is not None}
+    assert choices == {("analyze", "type"): tuple(GAMMA_BY_TYPE), ("analyze", "scale"): SCALES,
+                       ("case", "case_id"): tuple(CASES)}
+    assert tuple(CASES) == (1, 2, 3) and SCALES == ("none", "center", "zscore")
+    assert [preprocess(load_case(1), mode)[1].mode for mode in SCALES] == list(SCALES)
+    with pytest.raises(InputError, match="unknown preprocessing mode 'unit'"):
+        preprocess(load_case(1), "unit")
 
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -658,7 +675,10 @@ def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, s
         blocker.write_text("not a directory", encoding="utf-8")
         if command == "analyze":
             argv = ["analyze", str(table), "--scale", scale, *options]
-            for flag, name in (("--json", "r.json"), ("--svg", "p.svg")):
+            # --svg with --dims other than 2 is a fault of its own, refused before the read,
+            # so the dims fault asks for the report alone and reaches the fit's rank rule.
+            outputs = (("--json", "r.json"), ("--svg", "p.svg"))[:1 if fault == "dims" else 2]
+            for flag, name in outputs:
                 argv += [flag, str((blocker if flag == unwritable else tmp) / name)]
         else:
             argv = ["compare", str(table), *options,
@@ -741,6 +761,14 @@ _REFUSALS = {
     "output-is-input": (["analyze", "t.csv", "--json", "report.json", "--svg", "./t.csv"], _INPUT),
     "type-and-gamma": (["analyze", "t.csv", "--type", "jk", "--gamma", "0.3"],
                        "--type and --gamma are mutually exclusive"),
+    "gamma-out-of-range": (["analyze", "t.csv", "--gamma", "1.5"],
+                           "gamma must lie in [0, 1], got 1.5"),
+    "gamma-nan": (["analyze", "t.csv", "--gamma", "nan"], "gamma must lie in [0, 1], got nan"),
+    "svg-not-2-d": (["analyze", "t.csv", "--dims", "3", "--svg", "p.svg"],
+                    "SVG rendering requires a 2-D model, got dims=3"),
+    # The library's rules on the arguments come before the output rules.
+    "gamma-before-output": (["analyze", "t.csv", "--gamma", "1.5", "--json", "."],
+                            "gamma must lie in [0, 1], got 1.5"),
     "unknown-method": (["compare", "t.csv", "--methods", "jk,tsne"],
                        "unknown method 'tsne'; choose from jk, pca, mds, ca"),
     "repeated-method": (["compare", "t.csv", "--methods", "jk,pca, jk"],

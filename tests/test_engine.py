@@ -10,6 +10,7 @@ from biplot.engine import (column_correlations, column_cosines, fit_biplot, gh, 
                            pearson, quality, reconstruct, row_distances, sqrt_biplot)
 from biplot.errors import InputError, NumericalError
 from biplot.linalg import BLOCK_CELLS, low_rank_approx, right_svd, svd
+from biplot.report import analyze
 
 
 def case_matrix(cid, mode="zscore"):
@@ -473,6 +474,7 @@ _RESULTS = {
     "quality": lambda m, x: quality(m, x),
     "classical_mds": lambda m, x: classical_mds(row_distances(m)),
     "correspondence_analysis": lambda m, x: correspondence_analysis(load_case(1)),
+    "analyze": lambda m, x: analyze(load_case(1))[2],
 }
 
 

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biplot.catalog import method_name
 from biplot.data import DataTable, load_case, parse_table, preprocess, serialize_table
 from biplot.engine import column_cosines, fit_biplot, jk, pearson, quality, sqrt_biplot
 from biplot.errors import InputError
 from biplot.report import (_BLOCK, _CX, _CY, _HALF, AnalysisReport, _escape, analyze, json_lines,
-                           method_name, scatter_lines, svg_lines)
+                           scatter_lines, svg_lines)
 
 _LABELLED = 100  # rows, or columns, that carry a label in a layer
 
@@ -145,6 +146,37 @@ def test_analyze_warns_on_quality_of_rounding_size():
                                          (0.3, "biplot")])
 def test_method_name(gamma, name):
     assert method_name(gamma) == name
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan, math.inf])
+def test_method_name_refuses_a_gamma_outside_the_unit_interval(gamma):
+    with pytest.raises(InputError, match=re.escape(f"gamma must lie in [0, 1], got {gamma}")):
+        method_name(gamma)
+
+
+@pytest.mark.parametrize("gamma", [1.5, math.nan])
+def test_analyze_refuses_gamma_before_it_touches_the_table(gamma):
+    """A parsed table handed over with ``overwrite_table`` keeps its values, bit for bit."""
+    t = load_case(1)
+    raw = t.values.tobytes()
+    with pytest.raises(InputError, match=re.escape("gamma must lie in [0, 1]")):
+        analyze(t, gamma=gamma, overwrite_table=True)
+    assert t.values.tobytes() == raw
+
+
+def test_a_report_made_by_replace_is_read_only_too():
+    rep = analyze(load_case(1))[2]
+    other = dataclasses.replace(rep, cosines=-rep.cosines)
+    assert np.array_equal(other.cosines, -rep.cosines) and not other.cosines.flags.writeable
+    assert other.correlations is rep.correlations
+
+
+def test_svg_refuses_a_hand_built_model_outside_two_axes_or_the_unit_interval():
+    _, m, q = fitted_case(1)
+    with pytest.raises(InputError, match=re.escape("requires a 2-D model, got dims=3")):
+        svg_lines(dataclasses.replace(m, dims=3), q)
+    with pytest.raises(InputError, match=re.escape("gamma must lie in [0, 1], got 1.5")):
+        svg_lines(dataclasses.replace(m, gamma=1.5), q)
 
 
 def test_svg_element_counts():
