@@ -1,5 +1,5 @@
-"""The embedded case-study tables, the named biplot types and scales, and the gamma and
-SVG-axes rules: what the CLI reads and judges before it computes, so nothing here needs numpy."""
+"""The embedded case-study tables, the named biplot types and scales, and the judge of a fit's
+gamma and axes: what the CLI reads and judges before it computes, so nothing here needs numpy."""
 
 from .errors import InputError
 
@@ -7,17 +7,16 @@ GAMMA_BY_TYPE = {"jk": 1.0, "gh": 0.0, "sqrt": 0.5}
 SCALES = ("none", "center", "zscore")  # the preprocessing modes
 
 
-def method_name(gamma: float) -> str:
-    """The type of ``gamma`` (jk, gh or sqrt), else "biplot"; InputError outside [0, 1] or NaN."""
+def method_name(gamma: float, dims: int = 1, svg: bool = False) -> str:
+    """The type of ``gamma`` (jk, gh or sqrt), else "biplot". InputError, in this order: for a
+    gamma outside [0, 1] or NaN, for ``svg`` a ``dims`` other than 2, for a ``dims`` below 1."""
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must lie in [0, 1], got {gamma}")
-    return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
-
-
-def refuse_svg_axes(dims: int) -> None:
-    """InputError unless ``dims`` is 2, the axes an SVG biplot draws."""
-    if dims != 2:
+    if svg and dims != 2:
         raise InputError(f"SVG rendering requires a 2-D model, got dims={dims}")
+    if dims < 1:
+        raise InputError(f"dims must be positive, got {dims}")
+    return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
 
 # Case-study fixtures. Values are kept verbatim as published.
 

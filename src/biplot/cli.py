@@ -9,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from .catalog import CASES, GAMMA_BY_TYPE, SCALES, case_csv, method_name, refuse_svg_axes
+from .catalog import CASES, GAMMA_BY_TYPE, SCALES, case_csv, method_name
 from .errors import InputError, NumericalError
 
 EXIT_OK = 0
@@ -90,9 +90,7 @@ def _cmd_analyze(args) -> int:
     if args.type is not None and args.gamma is not None:
         raise InputError("--type and --gamma are mutually exclusive")
     gamma = args.gamma if args.gamma is not None else GAMMA_BY_TYPE[args.type or "jk"]
-    method_name(gamma)  # the library's rules, judged here before the outputs and the read
-    if args.svg is not None:
-        refuse_svg_axes(args.dims)
+    method_name(gamma, args.dims, args.svg is not None)  # judged before the outputs and the read
     return _analyze(args, args.input, gamma=gamma, dims=args.dims, scale=args.scale)
 
 

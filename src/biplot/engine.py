@@ -66,10 +66,16 @@ def fit_biplot(x, gamma: float, dims: int = 2,
 
     The engine never re-centers; pass the output of ``data.preprocess``.
     """
-    method_name(gamma)  # refuses a gamma outside [0, 1]
-    m = np.asarray(x, dtype=float)
-    sigma, V, rank = linalg.right_svd(m)  # refuses m by linalg.as_matrix
-    if not 1 <= dims <= rank:
+    method_name(gamma, dims)  # refuses a gamma outside [0, 1] and a dims below 1
+    m = linalg.as_matrix(x)  # a 2-D finite matrix, before its labels are counted
+    n, p = m.shape
+    row_labels = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(n))
+    col_labels = tuple(col_labels) if col_labels is not None else tuple(f"c{j}" for j in range(p))
+    if len(row_labels) != n or len(col_labels) != p:
+        raise InputError(f"label counts ({len(row_labels)}, {len(col_labels)}) do not match "
+                         f"matrix shape {m.shape}")
+    sigma, V, rank = linalg.right_svd(m)
+    if dims > rank:
         raise InputError(f"dims must lie in [1, rank={rank}], got {dims}")
     # sigma > 0 on the retained axes, as dims <= rank
     s = sigma[:dims]
@@ -78,12 +84,6 @@ def fit_biplot(x, gamma: float, dims: int = 2,
         Q, R = np.linalg.qr(A)  # U_s orthonormal to rounding, unlike A / s
         A = Q * np.where(np.diag(R) < 0, -1.0, 1.0) * s ** gamma
     B = np.multiply(V[:, :dims], s ** (1.0 - gamma), order="C")
-    n, p = m.shape
-    row_labels = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(n))
-    col_labels = tuple(col_labels) if col_labels is not None else tuple(f"c{j}" for j in range(p))
-    if len(row_labels) != n or len(col_labels) != p:
-        raise InputError(f"label counts ({len(row_labels)}, {len(col_labels)}) do not match "
-                         f"matrix shape {m.shape}")
     return BiplotModel(gamma=float(gamma), dims=int(dims),
                        row_markers=A, col_markers=B,
                        sigma_retained=s.copy(), sigma_all=sigma, rank=rank,

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import orjson
 
-from .catalog import method_name, refuse_svg_axes
+from .catalog import method_name
 from .data import DataTable, preprocess, refuse_unusable_column
 from .engine import (BiplotModel, QualityReport, column_correlations, column_cosines, fit_biplot,
                      quality)
@@ -90,10 +90,10 @@ def _json_pieces(value, depth: int):
 def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2, scale: str = "zscore",
             overwrite_table: bool = False) -> tuple[BiplotModel, QualityReport, AnalysisReport]:
     """The analysis pipeline: preprocess ``table``, fit the rank-``dims`` biplot, judge its
-    quality of representation and assemble the report; a ``gamma`` outside [0, 1] is refused
-    before the table is touched. OpenBLAS runs on one thread throughout, so the results are
-    the same bits at any thread count. ``overwrite_table`` is passed on to ``preprocess``."""
-    name = method_name(gamma)
+    quality of representation and assemble the report; a ``gamma`` outside [0, 1] and a ``dims``
+    below 1 are refused before the table is touched. OpenBLAS runs on one thread throughout, so
+    the results are the same bits at any thread count; ``overwrite_table`` is for ``preprocess``."""
+    name = method_name(gamma, dims)
     if scale != "zscore":  # preprocess refuses a zscore table itself
         refuse_unusable_column(table, "correlation")  # at every width, before any work
     with one_blas_thread():
@@ -259,14 +259,14 @@ def svg_lines(model: BiplotModel, quality: QualityReport):
     """Text of the deterministic 2-D biplot, line by line and each layer of
     marks in blocks: dots for rows, arrows from the origin for columns, scaled so
     that the longest is 40% of the largest row coordinate, and axes
-    annotated with variance shares. The model and the scale are checked
-    when this is called, before any line is generated."""
-    refuse_svg_axes(model.dims)
+    annotated with variance shares. The model's gamma and 2 axes, then the scale, are
+    checked when this is called, before any line is generated."""
+    name = method_name(model.gamma, model.dims, svg=True)
     A, B = model.row_markers, model.col_markers
     vector_scale = 0.4 * _extent(A) / (float(np.max(np.linalg.norm(B, axis=1))) or 1.0)
     B = B * vector_scale
     unit = _HALF / _extent(A, B)
-    legend = (f'{method_name(model.gamma).upper()} biplot | '
+    legend = (f'{name.upper()} biplot | '
               f'fit {quality.qr_overall * 100.0:.1f}% | vector scale x{vector_scale:.4g}')
     return _frame(model.axis_variance_shares() * 100.0, legend,
                   _marks(_ARROW, B, unit, model.col_labels),

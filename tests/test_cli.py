@@ -610,8 +610,8 @@ def test_the_table_is_freed_before_the_writes(tmp_path, case1_csv, monkeypatch, 
 
 
 @pytest.mark.parametrize("fault",["ragged", "nonfinite", "constant", "huge", "tiny", "ca_total",
-                                   "ca_row_mass", "ca_col_mass", "dims", "gamma", "unwritable",
-                                   "no_convergence"])
+                                   "ca_row_mass", "ca_col_mass", "dims", "low_dims", "gamma",
+                                   "unwritable", "no_convergence"])
 @settings(max_examples=15, deadline=None)
 @given(command=st.sampled_from(["analyze", "compare"]),
        scale=st.sampled_from(["zscore", "center", "none"]), n=st.integers(3, 8),
@@ -657,6 +657,9 @@ def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, s
     elif fault == "dims":
         command, says = "analyze", "dims must lie in [1, rank="
         options = ["--dims", str(data.draw(st.integers(min(n, p) + 1, min(n, p) + 3)))]
+    elif fault == "low_dims":
+        command, says = "analyze", "dims must be positive, got "
+        options = [f"--dims={data.draw(st.integers(max_value=0))}"]
     elif fault == "gamma":
         command, says = "analyze", "gamma must lie in [0, 1], got "
         gamma = data.draw(st.floats().filter(lambda g: not 0.0 <= g <= 1.0))
@@ -676,8 +679,9 @@ def test_bad_input_exits_2_or_3_with_a_message_and_no_artifact(fault, command, s
         if command == "analyze":
             argv = ["analyze", str(table), "--scale", scale, *options]
             # --svg with --dims other than 2 is a fault of its own, refused before the read,
-            # so the dims fault asks for the report alone and reaches the fit's rank rule.
-            outputs = (("--json", "r.json"), ("--svg", "p.svg"))[:1 if fault == "dims" else 2]
+            # so the dims faults ask for the report alone: too many axes reach the fit's rank
+            # rule, and too few are refused before the read.
+            outputs = (("--json", "r.json"), ("--svg", "p.svg"))[:1 if "dims" in fault else 2]
             for flag, name in outputs:
                 argv += [flag, str((blocker if flag == unwritable else tmp) / name)]
         else:
@@ -766,9 +770,16 @@ _REFUSALS = {
     "gamma-nan": (["analyze", "t.csv", "--gamma", "nan"], "gamma must lie in [0, 1], got nan"),
     "svg-not-2-d": (["analyze", "t.csv", "--dims", "3", "--svg", "p.svg"],
                     "SVG rendering requires a 2-D model, got dims=3"),
+    "dims-zero": (["analyze", "t.csv", "--dims", "0"], "dims must be positive, got 0"),
+    "dims-negative": (["analyze", "t.csv", "--dims", "-1"], "dims must be positive, got -1"),
+    # With --svg, the SVG's axes are named before a dims below 1.
+    "svg-before-dims": (["analyze", "t.csv", "--dims", "0", "--svg", "p.svg"],
+                        "SVG rendering requires a 2-D model, got dims=0"),
     # The library's rules on the arguments come before the output rules.
     "gamma-before-output": (["analyze", "t.csv", "--gamma", "1.5", "--json", "."],
                             "gamma must lie in [0, 1], got 1.5"),
+    "dims-before-output": (["analyze", "t.csv", "--dims", "0", "--json", "."],
+                           "dims must be positive, got 0"),
     "unknown-method": (["compare", "t.csv", "--methods", "jk,tsne"],
                        "unknown method 'tsne'; choose from jk, pca, mds, ca"),
     "repeated-method": (["compare", "t.csv", "--methods", "jk,pca, jk"],

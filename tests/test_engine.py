@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from biplot import linalg
 from biplot.baselines import classical_mds, correspondence_analysis
 from biplot.data import DataTable, load_case, parse_table, preprocess
 from biplot.engine import (column_correlations, column_cosines, fit_biplot, gh, jk, pca_scores,
@@ -47,6 +48,18 @@ def test_fit_biplot_needs_one_label_per_row_and_column():
         with pytest.raises(InputError, match=r"^label counts \(\d, \d\) do not match matrix "
                                              r"shape \(3, 3\)$"):
             fit_biplot(x, gamma=1.0, dims=2, **labels)
+
+
+def test_fit_biplot_judges_dims_and_labels_before_it_factors(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "right_svd", calls.append)
+    x = np.diag([3.0, 2.0, 1.0])
+    for dims in (0, -1):
+        with pytest.raises(InputError, match=f"^dims must be positive, got {dims}$"):
+            fit_biplot(x, gamma=1.0, dims=dims)
+    with pytest.raises(InputError, match=r"^label counts \(2, 3\) do not match"):
+        fit_biplot(x, gamma=1.0, dims=2, row_labels=("a", "b"))
+    assert calls == []
 
 
 @pytest.mark.parametrize("x, says", [

@@ -145,22 +145,41 @@ def test_analyze_warns_on_quality_of_rounding_size():
 @pytest.mark.parametrize("gamma, name", [(1.0, "jk"), (0.0, "gh"), (0.5, "sqrt"),
                                          (0.3, "biplot")])
 def test_method_name(gamma, name):
-    assert method_name(gamma) == name
+    assert method_name(gamma) == method_name(gamma, 5) == method_name(gamma, 2, svg=True) == name
 
 
 @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan, math.inf])
 def test_method_name_refuses_a_gamma_outside_the_unit_interval(gamma):
-    with pytest.raises(InputError, match=re.escape(f"gamma must lie in [0, 1], got {gamma}")):
-        method_name(gamma)
+    """The gamma is named first, before the axes of an SVG and a dims below 1."""
+    for dims, svg in [(1, False), (0, False), (3, True), (-1, True)]:
+        with pytest.raises(InputError, match=re.escape(f"gamma must lie in [0, 1], got {gamma}")):
+            method_name(gamma, dims, svg)
 
 
-@pytest.mark.parametrize("gamma", [1.5, math.nan])
-def test_analyze_refuses_gamma_before_it_touches_the_table(gamma):
-    """A parsed table handed over with ``overwrite_table`` keeps its values, bit for bit."""
+@pytest.mark.parametrize("dims, svg, says", [
+    (0, False, "dims must be positive, got 0"), (-1, False, "dims must be positive, got -1"),
+    (1, True, "SVG rendering requires a 2-D model, got dims=1"),
+    (3, True, "SVG rendering requires a 2-D model, got dims=3"),
+    (0, True, "SVG rendering requires a 2-D model, got dims=0"),
+])
+def test_method_name_refuses_an_svg_off_two_axes_then_a_dims_below_1(dims, svg, says):
+    with pytest.raises(InputError, match=f"^{re.escape(says)}$"):
+        method_name(0.5, dims, svg)
+
+
+@pytest.mark.parametrize("options, says", [
+    ({"gamma": 1.5}, "gamma must lie in [0, 1], got 1.5"),
+    ({"gamma": math.nan}, "gamma must lie in [0, 1], got nan"),
+    ({"dims": 0}, "dims must be positive, got 0"),
+    ({"dims": -1}, "dims must be positive, got -1"),
+], ids=["1.5", "nan", "dims=0", "dims=-1"])
+def test_analyze_refuses_gamma_before_it_touches_the_table(options, says):
+    """A parsed table handed over with ``overwrite_table`` keeps its values, bit for bit, when
+    its gamma or its dims is refused."""
     t = load_case(1)
     raw = t.values.tobytes()
-    with pytest.raises(InputError, match=re.escape("gamma must lie in [0, 1]")):
-        analyze(t, gamma=gamma, overwrite_table=True)
+    with pytest.raises(InputError, match=f"^{re.escape(says)}$"):
+        analyze(t, **options, overwrite_table=True)
     assert t.values.tobytes() == raw
 
 
@@ -177,6 +196,8 @@ def test_svg_refuses_a_hand_built_model_outside_two_axes_or_the_unit_interval():
         svg_lines(dataclasses.replace(m, dims=3), q)
     with pytest.raises(InputError, match=re.escape("gamma must lie in [0, 1], got 1.5")):
         svg_lines(dataclasses.replace(m, gamma=1.5), q)
+    with pytest.raises(InputError, match=re.escape("gamma must lie in [0, 1], got 1.5")):
+        svg_lines(dataclasses.replace(m, gamma=1.5, dims=3), q)  # the gamma is named first
 
 
 def test_svg_element_counts():
