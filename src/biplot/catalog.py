@@ -1,6 +1,8 @@
 """The embedded case-study tables, the named biplot types and scales, and the judge of a fit's
 gamma and axes: what the CLI reads and judges before it computes, so nothing here needs numpy."""
 
+from numbers import Integral
+
 from .errors import InputError
 
 GAMMA_BY_TYPE = {"jk": 1.0, "gh": 0.0, "sqrt": 0.5}
@@ -9,9 +11,12 @@ SCALES = ("none", "center", "zscore")  # the preprocessing modes
 
 def method_name(gamma: float, dims: int = 1, svg: bool = False) -> str:
     """The type of ``gamma`` (jk, gh or sqrt), else "biplot". InputError, in this order: for a
-    gamma outside [0, 1] or NaN, for ``svg`` a ``dims`` other than 2, for a ``dims`` below 1."""
+    gamma outside [0, 1] or NaN, for a ``dims`` that is no integer (NumPy's are), for ``svg``
+    a ``dims`` other than 2, for a ``dims`` below 1."""
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must lie in [0, 1], got {gamma}")
+    if not isinstance(dims, Integral):
+        raise InputError(f"dims must be an integer, got {dims}")
     if svg and dims != 2:
         raise InputError(f"SVG rendering requires a 2-D model, got dims={dims}")
     if dims < 1:

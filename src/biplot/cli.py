@@ -31,16 +31,18 @@ def _read_table(path: str):
 
 
 def _write_all(artifacts: list) -> None:
-    """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str, making its
-    parent first. If one fails, remove every file this call made, so a failed command
-    leaves no artifact behind. A path that cannot be written is an InputError."""
+    """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str, making its parent
+    first. If one fails, remove the files this call created, not a path that was there before,
+    so a failed command leaves nothing behind. A path that cannot be written is an InputError."""
     made = []
     try:
         try:
             for path, lines in artifacts:
                 Path(path).parent.mkdir(parents=True, exist_ok=True)
+                created = not os.path.lexists(path)  # a file, link or device there before stays
                 with open(path, "w", encoding="utf-8") as fh:
-                    made.append(path)
+                    if created:
+                        made.append(path)
                     fh.writelines(lines)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from None
@@ -94,55 +96,36 @@ def _cmd_analyze(args) -> int:
     return _analyze(args, args.input, gamma=gamma, dims=args.dims, scale=args.scale)
 
 
-def _row_panel(method: str, table, model, qual):
-    """The ``pca`` or ``mds`` panel as (JSON lines, SVG lines, 2-D share): by the Torgerson
-    duality, the JK row markers, as PCA scores with their axis shares, or as MDS coordinates
-    under the sign rule of ``classical_mds`` with the eigenvalues and strain."""
-    from . import linalg, report
-    coords, share = model.row_markers, qual.qr_overall
-    if method == "pca":
-        title, axes, extras = "PCA", model.axis_variance_shares() * 100.0, {"scores": coords}
-    else:
-        coords = coords * linalg.axis_signs(coords)
-        title, axes = "Classical MDS", None
-        extras = {"coords": coords, "eigenvalues": model.sigma_retained ** 2,
-                  "strain": 1.0 - share}
-    doc = {"method": method, **extras, "row_labels": list(table.row_labels), "share_2d": share}
-    svg = report.scatter_lines(coords, table.row_labels,
-                               f"{title} | 2-D share {share * 100:.1f}%", axes)
+def _panel(table, method, title, xy, share, axes=None, cols=None, /, **doc):
+    """A scatter panel of ``compare`` as (JSON lines, SVG lines, 2-D share): ``doc`` with the
+    method, row labels and share, and the rows ``xy``, with the column points ``cols`` and the
+    axis shares ``axes`` (percent), drawn under ``title`` and the share."""
+    from . import report
+    doc.update(method=method, row_labels=list(table.row_labels), share_2d=share)
+    svg = report.scatter_lines(xy, table.row_labels, f"{title} | 2-D share {share * 100:.1f}%",
+                               axes, col_coords=cols, col_labels=table.col_labels)
     return report.json_lines(doc), svg, share
 
 
 def _ca_panel(table):
-    """The ``ca`` panel as (JSON lines, SVG lines, 2-D share), from the raw values."""
-    from . import baselines, report
+    """The ``ca`` panel, from the raw values, warning when the largest column mass passes 10
+    times the smallest, the sign of a table that mixes measurement units."""
+    from . import baselines
     if table.shape[1] < 3:
         baselines.ca_input(table)  # whose refusal comes first, as in correspondence_analysis
         raise InputError(f"the ca panel needs at least 3 columns for its two axes, and "
                          f"{table.name!r} is {table.shape[0]}x{table.shape[1]}; "
                          "leave it out with --methods jk,pca,mds")
-    ca = baselines.correspondence_analysis(table, 2)
-    share = float(ca.inertias.sum() / ca.total_inertia)
-    doc = {"method": "ca", "row_coords": ca.row_coords, "col_coords": ca.col_coords,
-           "inertias": ca.inertias, "total_inertia": ca.total_inertia,
-           "row_labels": list(table.row_labels), "col_labels": list(table.col_labels),
-           "share_2d": share, "warnings": _ca_warnings(table.col_labels, ca.col_masses)}
-    svg = report.scatter_lines(ca.row_coords, table.row_labels,
-                               f"CA (symmetric) | 2-D share {share * 100:.1f}%",
-                               ca.inertias / ca.total_inertia * 100.0,
-                               col_coords=ca.col_coords, col_labels=table.col_labels)
-    return report.json_lines(doc), svg, share
-
-
-def _ca_warnings(col_labels, masses) -> list[str]:
-    """A warning when the largest column mass passes 10 times the smallest,
-    the sign of a table that mixes measurement units."""
-    hi, lo = int(masses.argmax()), int(masses.argmin())
-    if masses[hi] <= 10.0 * masses[lo]:
-        return []
-    return [f"column {col_labels[hi]!r} has {masses[hi] / masses[lo]:.3g} times the mass of "
-            f"column {col_labels[lo]!r}: the table may mix measurement units, so chi-square "
-            "profiles may not be meaningful"]
+    ca, labels = baselines.correspondence_analysis(table, 2), table.col_labels
+    masses, hi, lo = ca.col_masses, int(ca.col_masses.argmax()), int(ca.col_masses.argmin())
+    warnings = [f"column {labels[hi]!r} has {masses[hi] / masses[lo]:.3g} times the mass of "
+                f"column {labels[lo]!r}: the table may mix measurement units, so chi-square "
+                "profiles may not be meaningful"] if masses[hi] > 10.0 * masses[lo] else []
+    return _panel(table, "ca", "CA (symmetric)", ca.row_coords,
+                  float(ca.inertias.sum() / ca.total_inertia),
+                  ca.inertias / ca.total_inertia * 100.0, ca.col_coords,
+                  row_coords=ca.row_coords, col_coords=ca.col_coords, inertias=ca.inertias,
+                  total_inertia=ca.total_inertia, col_labels=list(labels), warnings=warnings)
 
 
 def _cmd_compare(args) -> int:
@@ -160,7 +143,7 @@ def _cmd_compare(args) -> int:
     paths = [out_dir / f"{slug}_{m}.{ext}" for m in methods for ext in ("json", "svg")]
     paths.append(out_dir / f"{slug}_summary.json")
     _refuse_outputs(args.input, paths, out_dir)
-    from . import report, data  # report first, as in _analyze
+    from . import report, data, linalg  # report first, as in _analyze
     table = _read_table(args.input)
     # Every panel checks its inputs before any file is written; each writes its own files.
     panels = {}
@@ -171,10 +154,19 @@ def _cmd_compare(args) -> int:
             if len(methods) > 1:
                 data.refuse_unusable_column(table, "zscore")
             raise
-    if fits := [m for m in methods if m != "ca"]:  # the z-scored JK fit's panels
+    if methods != ["ca"]:  # the z-scored JK fit's panels, each built only if asked for
         model, qual, rep = report.analyze(table, overwrite_table=True)
-        panels.update({m: (rep.json_lines(), report.svg_lines(model, qual), qual.qr_overall)
-                       if m == "jk" else _row_panel(m, table, model, qual) for m in fits})
+        rows, share = model.row_markers, qual.qr_overall
+        if "jk" in methods:
+            panels["jk"] = rep.json_lines(), report.svg_lines(model, qual), share
+        # By the Torgerson duality, the PCA scores and the MDS coordinates are the JK row markers.
+        if "pca" in methods:
+            panels["pca"] = _panel(table, "pca", "PCA", rows, share,
+                                   model.axis_variance_shares() * 100.0, scores=rows)
+        if "mds" in methods:
+            coords = rows * linalg.axis_signs(rows)  # under the sign rule of classical_mds
+            panels["mds"] = _panel(table, "mds", "Classical MDS", coords, share, coords=coords,
+                                   eigenvalues=model.sigma_retained ** 2, strain=1.0 - share)
     summary = [{"method": m, "share_2d": panels[m][2]} for m in methods]
     lines = [part for m in methods for part in panels[m][:2]]
     lines.append(report.json_lines({"dataset": table.name, "methods": summary}))

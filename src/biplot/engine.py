@@ -66,7 +66,7 @@ def fit_biplot(x, gamma: float, dims: int = 2,
 
     The engine never re-centers; pass the output of ``data.preprocess``.
     """
-    method_name(gamma, dims)  # refuses a gamma outside [0, 1] and a dims below 1
+    method_name(gamma, dims)  # refuses a gamma outside [0, 1] and a dims not an integer >= 1
     m = linalg.as_matrix(x)  # a 2-D finite matrix, before its labels are counted
     n, p = m.shape
     row_labels = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(n))

@@ -90,8 +90,8 @@ def _json_pieces(value, depth: int):
 def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2, scale: str = "zscore",
             overwrite_table: bool = False) -> tuple[BiplotModel, QualityReport, AnalysisReport]:
     """The analysis pipeline: preprocess ``table``, fit the rank-``dims`` biplot, judge its
-    quality of representation and assemble the report; a ``gamma`` outside [0, 1] and a ``dims``
-    below 1 are refused before the table is touched. OpenBLAS runs on one thread throughout, so
+    quality of representation and assemble the report; ``method_name`` judges ``gamma`` and
+    ``dims`` before the table is touched. OpenBLAS runs on one thread throughout, so
     the results are the same bits at any thread count; ``overwrite_table`` is for ``preprocess``."""
     name = method_name(gamma, dims)
     if scale != "zscore":  # preprocess refuses a zscore table itself

@@ -255,6 +255,22 @@ def test_compare_factors_once(tmp_path, case1_csv, monkeypatch, methods, calls):
     assert len(count) == calls
 
 
+@pytest.mark.parametrize("methods, titles", [
+    ("pca", ["PCA"]), ("mds,pca", ["Classical MDS", "PCA"]), ("jk", []), ("ca", ["CA (symmetric)"]),
+])
+def test_compare_draws_only_the_scatter_panels_asked_for(tmp_path, case1_csv, monkeypatch,
+                                                         methods, titles):
+    drawn, real_scatter_lines = [], report.scatter_lines
+
+    def counting_scatter_lines(coords, labels, title, *args, **kwargs):
+        drawn.append(title.split(" | ")[0])
+        return real_scatter_lines(coords, labels, title, *args, **kwargs)
+
+    monkeypatch.setattr(report, "scatter_lines", counting_scatter_lines)
+    _compare_docs(tmp_path, case1_csv, methods)
+    assert sorted(drawn) == titles
+
+
 def test_compare_mds_panel_matches_classical_mds(tmp_path, case1_csv):
     docs = _compare_docs(tmp_path, case1_csv, "jk,mds")
     z, _ = preprocess(load_case(1), "zscore")
@@ -586,6 +602,25 @@ def test_a_failed_second_write_removes_the_first_artifact(tmp_path, case1_csv, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["case1.csv"]
+
+
+@pytest.mark.parametrize("kind", ["symlink", "file"])
+def test_a_failed_write_keeps_a_path_that_was_there_before(tmp_path, case1_csv, capsys, kind):
+    """The report is written over a symlink or a file the user had, then the SVG's too long a
+    name fails: the command removes only what it created, so the user's path is kept."""
+    keep, report_path = tmp_path / "keep.txt", tmp_path / f"{kind}.json"
+    keep.write_text("kept", encoding="utf-8")
+    if kind == "symlink":
+        report_path.symlink_to(keep)
+    else:
+        report_path.write_text("kept", encoding="utf-8")
+    target = tmp_path / ("a" * 300 + ".svg")
+    assert main(["analyze", str(case1_csv), "--json", str(report_path), "--svg", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert report_path.is_symlink() == (kind == "symlink") and report_path.is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["case1.csv", "keep.txt", report_path.name])
 
 
 @pytest.mark.parametrize("command", ["analyze", "case"])

@@ -57,6 +57,8 @@ def test_fit_biplot_judges_dims_and_labels_before_it_factors(monkeypatch):
     for dims in (0, -1):
         with pytest.raises(InputError, match=f"^dims must be positive, got {dims}$"):
             fit_biplot(x, gamma=1.0, dims=dims)
+    with pytest.raises(InputError, match=r"^dims must be an integer, got 2\.0$"):
+        fit_biplot(x, gamma=1.0, dims=2.0)
     with pytest.raises(InputError, match=r"^label counts \(2, 3\) do not match"):
         fit_biplot(x, gamma=1.0, dims=2, row_labels=("a", "b"))
     assert calls == []

@@ -146,12 +146,13 @@ def test_analyze_warns_on_quality_of_rounding_size():
                                          (0.3, "biplot")])
 def test_method_name(gamma, name):
     assert method_name(gamma) == method_name(gamma, 5) == method_name(gamma, 2, svg=True) == name
+    assert method_name(gamma, np.int64(2), svg=True) == method_name(gamma, np.int32(3)) == name
 
 
 @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan, math.inf])
 def test_method_name_refuses_a_gamma_outside_the_unit_interval(gamma):
-    """The gamma is named first, before the axes of an SVG and a dims below 1."""
-    for dims, svg in [(1, False), (0, False), (3, True), (-1, True)]:
+    """The gamma is named first, before a non-integer dims, an SVG's axes and a dims below 1."""
+    for dims, svg in [(1, False), (0, False), (3, True), (-1, True), (2.0, False), (2.0, True)]:
         with pytest.raises(InputError, match=re.escape(f"gamma must lie in [0, 1], got {gamma}")):
             method_name(gamma, dims, svg)
 
@@ -161,8 +162,14 @@ def test_method_name_refuses_a_gamma_outside_the_unit_interval(gamma):
     (1, True, "SVG rendering requires a 2-D model, got dims=1"),
     (3, True, "SVG rendering requires a 2-D model, got dims=3"),
     (0, True, "SVG rendering requires a 2-D model, got dims=0"),
+    (np.int64(0), False, "dims must be positive, got 0"),
+    (2.0, False, "dims must be an integer, got 2.0"),
+    (2.0, True, "dims must be an integer, got 2.0"),
+    (0.5, False, "dims must be an integer, got 0.5"),
+    (3.0, True, "dims must be an integer, got 3.0"),
 ])
 def test_method_name_refuses_an_svg_off_two_axes_then_a_dims_below_1(dims, svg, says):
+    """A ``dims`` that is no integer is named before the SVG's axes and a ``dims`` below 1."""
     with pytest.raises(InputError, match=f"^{re.escape(says)}$"):
         method_name(0.5, dims, svg)
 
@@ -172,7 +179,8 @@ def test_method_name_refuses_an_svg_off_two_axes_then_a_dims_below_1(dims, svg, 
     ({"gamma": math.nan}, "gamma must lie in [0, 1], got nan"),
     ({"dims": 0}, "dims must be positive, got 0"),
     ({"dims": -1}, "dims must be positive, got -1"),
-], ids=["1.5", "nan", "dims=0", "dims=-1"])
+    ({"dims": 2.0}, "dims must be an integer, got 2.0"),
+], ids=["1.5", "nan", "dims=0", "dims=-1", "dims=2.0"])
 def test_analyze_refuses_gamma_before_it_touches_the_table(options, says):
     """A parsed table handed over with ``overwrite_table`` keeps its values, bit for bit, when
     its gamma or its dims is refused."""
