@@ -32,24 +32,23 @@ def _read_table(path: str):
 
 def _write_all(artifacts: list) -> None:
     """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str, making its parent
-    first. If one fails, remove the files this call created, not a path that was there before,
-    so a failed command leaves nothing behind. A path that cannot be written is an InputError."""
+    first, new paths before those there already. If one fails, remove the files this call
+    created, never a path that was there before. A path that cannot be written is an InputError."""
     made = []
     try:
-        try:
-            for path, lines in artifacts:
-                Path(path).parent.mkdir(parents=True, exist_ok=True)
-                created = not os.path.lexists(path)  # a file, link or device there before stays
-                with open(path, "w", encoding="utf-8") as fh:
-                    if created:
-                        made.append(path)
-                    fh.writelines(lines)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from None
-    except BaseException:
+        for path, lines in sorted(artifacts, key=lambda artifact: os.path.lexists(artifact[0])):
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            created = not os.path.lexists(path)  # a file, link or device there before stays
+            with open(path, "w", encoding="utf-8") as fh:
+                if created:
+                    made.append(path)
+                fh.writelines(lines)
+        made.clear()  # every artifact is written: nothing left to remove
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+    finally:
         for path in made:
             Path(path).unlink(missing_ok=True)
-        raise
 
 
 def _refuse_outputs(source, outputs, made=None) -> None:

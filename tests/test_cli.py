@@ -606,8 +606,8 @@ def test_a_failed_second_write_removes_the_first_artifact(tmp_path, case1_csv, c
 
 @pytest.mark.parametrize("kind", ["symlink", "file"])
 def test_a_failed_write_keeps_a_path_that_was_there_before(tmp_path, case1_csv, capsys, kind):
-    """The report is written over a symlink or a file the user had, then the SVG's too long a
-    name fails: the command removes only what it created, so the user's path is kept."""
+    """The report goes to a symlink or a file the user had and the SVG to too long a name: the
+    new path is written first and fails, so the user's path is kept with its bytes."""
     keep, report_path = tmp_path / "keep.txt", tmp_path / f"{kind}.json"
     keep.write_text("kept", encoding="utf-8")
     if kind == "symlink":
@@ -621,6 +621,21 @@ def test_a_failed_write_keeps_a_path_that_was_there_before(tmp_path, case1_csv, 
     assert report_path.is_symlink() == (kind == "symlink") and report_path.is_file()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["case1.csv", "keep.txt", report_path.name])
+    assert keep.read_text(encoding="utf-8") == report_path.read_text(encoding="utf-8") == "kept"
+
+
+def test_a_pre_existing_output_is_rewritten_with_the_bytes_of_a_fresh_one(tmp_path, case1_csv):
+    """A ``--json`` the user had and a new ``--svg`` are both written, the new one first, with
+    the bytes a run into fresh paths gives."""
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    (old / "r.json").write_text("user data", encoding="utf-8")
+    for out in (fresh, old):
+        assert main(["analyze", str(case1_csv), "--json", str(out / "r.json"),
+                     "--svg", str(out / "p.svg")]) == 0
+    for name in ("r.json", "p.svg"):
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["analyze", "case"])
