@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .catalog import CASES, GAMMA_BY_TYPE, SCALES, case_csv, method_name
@@ -32,18 +34,28 @@ def _read_table(path: str):
 
 def _write_all(artifacts: list) -> None:
     """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str, making its parent
-    first, new paths before those there already. If one fails, remove the files this call
-    created, never a path that was there before. A path that cannot be written is an InputError."""
-    made = []
+    first. A path that is, or links to, a regular file is written to a temporary file beside
+    that file, with its mode, which replaces it once every artifact is written. If one fails,
+    remove the temporary files and those this call created, so no path that was there before
+    changes. A path that cannot be written is an InputError."""
+    made, staged = [], []  # the paths to remove on a failure; (temporary file, target) pairs
     try:
-        for path, lines in sorted(artifacts, key=lambda artifact: os.path.lexists(artifact[0])):
+        for path, lines in artifacts:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-            created = not os.path.lexists(path)  # a file, link or device there before stays
-            with open(path, "w", encoding="utf-8") as fh:
+            out, created = path, not os.path.lexists(path)  # a device or link there stays
+            if os.path.isfile(target := os.path.realpath(path)):
+                fd, out = tempfile.mkstemp(dir=os.path.dirname(target))
+                os.close(fd)
+                made.append(out)
+                staged.append((out, target))
+                shutil.copymode(target, out)
+            with open(out, "w", encoding="utf-8") as fh:
                 if created:
                     made.append(path)
                 fh.writelines(lines)
-        made.clear()  # every artifact is written: nothing left to remove
+        for out, path in staged:
+            os.replace(out, path)
+        made.clear()  # every artifact is in place: nothing left to remove
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
     finally:

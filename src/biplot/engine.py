@@ -167,11 +167,10 @@ def column_cosines(model: BiplotModel) -> np.ndarray:
     zero-length marker (undefined rather than an error)."""
     B = model.col_markers
     norms = np.linalg.norm(B, axis=1)
+    norms[norms == 0] = np.nan  # also where a marker's squares underflow but its products do not
     with np.errstate(invalid="ignore", divide="ignore"):
         C = (B @ B.T) / np.outer(norms, norms)
     C = np.clip(C, -1.0, 1.0)
-    C[norms == 0, :] = np.nan
-    C[:, norms == 0] = np.nan
     np.fill_diagonal(C, np.where(norms > 0, 1.0, np.nan))
     return C
 

@@ -1,15 +1,12 @@
 """Dense-matrix primitives: SVD with a deterministic sign convention,
 the U-free factorization the analyses use, truncation, best rank-s
-approximation, the triangular factor of a tall matrix over row blocks and
-the pin of OpenBLAS to one thread."""
+approximation and the triangular factor of a tall matrix over row blocks.
+Loading this module sets numpy's bundled OpenBLAS to one thread for the process."""
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -128,7 +125,6 @@ def reconstruction(res: SvdResult) -> np.ndarray:
     return low_rank_approx(res, res.sigma.size)
 
 
-@functools.cache
 def _openblas_threads():
     """The thread-count getter and setter of the OpenBLAS bundled with
     numpy (``numpy.libs/libscipy_openblas64_*.so``), or None without one."""
@@ -144,31 +140,8 @@ def _openblas_threads():
     return get, set_
 
 
-_pin_lock = threading.Lock()
-_pins = [0, 1]  # open pins, and the thread count the last one restores
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the block with OpenBLAS on one thread, so that its results are
-    the same bits at any ``OPENBLAS_NUM_THREADS``, then give back the
-    caller's thread count. The pin is process-wide: blocks may nest and
-    overlap across Python threads, and the count comes back when the last
-    one ends. Without numpy's bundled OpenBLAS this does nothing."""
-    fns = _openblas_threads()
-    if fns is None:
-        yield
-        return
-    get, set_ = fns
-    with _pin_lock:
-        if _pins[0] == 0:
-            _pins[1] = get()
-            set_(1)
-        _pins[0] += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pins[0] -= 1
-            if _pins[0] == 0:
-                set_(_pins[1])
+# One thread for the whole process, set once as the numeric modules load: every public
+# function then gives the same bits at any OPENBLAS_NUM_THREADS. A caller who raises the
+# count afterwards gives that up. Without numpy's bundled OpenBLAS this does nothing.
+if (_threads := _openblas_threads()) is not None:
+    _threads[1](1)

@@ -12,7 +12,7 @@ from .data import DataTable, preprocess, refuse_unusable_column
 from .engine import (BiplotModel, QualityReport, column_correlations, column_cosines, fit_biplot,
                      quality)
 from .errors import InputError
-from .linalg import as_matrix, frozen_result, one_blas_thread
+from .linalg import as_matrix, frozen_result
 
 # Widest table whose report holds the p x p correlations and cosines: every paper
 # table fits; past it they grow into nearly all of the report, and past reading.
@@ -91,22 +91,20 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2, scale: str = "z
             overwrite_table: bool = False) -> tuple[BiplotModel, QualityReport, AnalysisReport]:
     """The analysis pipeline: preprocess ``table``, fit the rank-``dims`` biplot, judge its
     quality of representation and assemble the report; ``method_name`` judges ``gamma`` and
-    ``dims`` before the table is touched. OpenBLAS runs on one thread throughout, so
-    the results are the same bits at any thread count; ``overwrite_table`` is for ``preprocess``."""
+    ``dims`` before the table is touched; ``overwrite_table`` is for ``preprocess``."""
     name = method_name(gamma, dims)
     if scale != "zscore":  # preprocess refuses a zscore table itself
         refuse_unusable_column(table, "correlation")  # at every width, before any work
-    with one_blas_thread():
-        x, record = preprocess(table, scale, overwrite_table)
-        model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,
-                           col_labels=table.col_labels)
-        qual = quality(model, x)
-        correlations = cosines = None
-        if model.shape[1] <= _BLOCKS_MAX_COLS:
-            if record.mode == "none":
-                x -= x.mean(axis=0)  # x is not read again, so it is centered in place
-            correlations = column_correlations(x, table.col_labels)
-            cosines = column_cosines(model)
+    x, record = preprocess(table, scale, overwrite_table)
+    model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,
+                       col_labels=table.col_labels)
+    qual = quality(model, x)
+    correlations = cosines = None
+    if model.shape[1] <= _BLOCKS_MAX_COLS:
+        if record.mode == "none":
+            x -= x.mean(axis=0)  # x is not read again, so it is centered in place
+        correlations = column_correlations(x, table.col_labels)
+        cosines = column_cosines(model)
     n, p = model.shape
     return model, qual, AnalysisReport(
         dataset={

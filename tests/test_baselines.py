@@ -150,9 +150,8 @@ def test_ca_residuals_formed_by_row_blocks_keep_the_bits_of_the_whole_matrix():
     r, c = P.sum(axis=1), P.sum(axis=0)
     rc = np.outer(r, c)
     S = (P - rc) / np.sqrt(rc)
-    with linalg.one_blas_thread():
-        sigma, V, _ = linalg.right_svd(S)
-        row_coords = (S @ V[:, :2]) / np.sqrt(r)[:, None]
+    sigma, V, _ = linalg.right_svd(S)
+    row_coords = (S @ V[:, :2]) / np.sqrt(r)[:, None]
     col_coords = (V[:, :2] * sigma[:2]) / np.sqrt(c)[:, None]
     expected = {"row_coords": row_coords, "col_coords": col_coords, "inertias": (sigma ** 2)[:2],
                 "total_inertia": float(np.sum(sigma ** 2)), "row_masses": r, "col_masses": c}

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -604,17 +605,22 @@ def test_a_failed_second_write_removes_the_first_artifact(tmp_path, case1_csv, c
     assert [p.name for p in tmp_path.iterdir()] == ["case1.csv"]
 
 
-@pytest.mark.parametrize("kind", ["symlink", "file"])
-def test_a_failed_write_keeps_a_path_that_was_there_before(tmp_path, case1_csv, capsys, kind):
-    """The report goes to a symlink or a file the user had and the SVG to too long a name: the
-    new path is written first and fails, so the user's path is kept with its bytes."""
+@pytest.mark.parametrize("kind, svg", [("symlink", None), ("file", None),
+                                       ("symlink", "/dev/full"), ("file", "/dev/full")],
+                         ids=["symlink", "file", "symlink-dev-full", "file-dev-full"])
+def test_a_failed_write_keeps_a_path_that_was_there_before(tmp_path, case1_csv, capsys, kind,
+                                                           svg):
+    """The report goes to a symlink or a file the user had and the SVG to too long a name, which
+    fails at the open, or to ``/dev/full``, which fails after the report is written to a
+    temporary file beside the user's: the user's path keeps its bytes, a link stays a link and
+    the temporary file is removed."""
     keep, report_path = tmp_path / "keep.txt", tmp_path / f"{kind}.json"
     keep.write_text("kept", encoding="utf-8")
     if kind == "symlink":
         report_path.symlink_to(keep)
     else:
         report_path.write_text("kept", encoding="utf-8")
-    target = tmp_path / ("a" * 300 + ".svg")
+    target = svg or tmp_path / ("a" * 300 + ".svg")
     assert main(["analyze", str(case1_csv), "--json", str(report_path), "--svg", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
@@ -625,17 +631,21 @@ def test_a_failed_write_keeps_a_path_that_was_there_before(tmp_path, case1_csv, 
 
 
 def test_a_pre_existing_output_is_rewritten_with_the_bytes_of_a_fresh_one(tmp_path, case1_csv):
-    """A ``--json`` the user had and a new ``--svg`` are both written, the new one first, with
-    the bytes a run into fresh paths gives."""
+    """A ``--json`` the user had, of mode 0640, and a new ``--svg`` are both written with the
+    bytes a run into fresh paths gives; the user's file keeps its mode, and no temporary file
+    is left beside it."""
     fresh, old = tmp_path / "fresh", tmp_path / "old"
     fresh.mkdir()
     old.mkdir()
     (old / "r.json").write_text("user data", encoding="utf-8")
+    (old / "r.json").chmod(0o640)
     for out in (fresh, old):
         assert main(["analyze", str(case1_csv), "--json", str(out / "r.json"),
                      "--svg", str(out / "p.svg")]) == 0
     for name in ("r.json", "p.svg"):
         assert (old / name).read_bytes() == (fresh / name).read_bytes()
+    assert stat.S_IMODE((old / "r.json").stat().st_mode) == 0o640
+    assert sorted(p.name for p in old.iterdir()) == ["p.svg", "r.json"]
 
 
 @pytest.mark.parametrize("command", ["analyze", "case"])

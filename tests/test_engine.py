@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -323,6 +324,16 @@ def test_column_cosines_duplicate_column():
     assert np.isclose(C[0, 3], 1.0, atol=1e-9)
     assert np.allclose(C, C.T, equal_nan=True)
     assert np.allclose(np.diag(C), 1.0)
+
+
+def test_column_cosines_of_a_zero_or_underflowing_marker_are_nan():
+    """A zero marker, and one whose squares underflow though its products with others do not,
+    have NaN cosines, the diagonal too; the other pairs keep theirs."""
+    B = np.array([[1.0, 2.0], [0.0, -0.0], [1e-170, -1e-170], [-3.0, 1.0]])
+    C = column_cosines(SimpleNamespace(col_markers=B))
+    assert np.isnan(C[1:3]).all() and np.isnan(C[:, 1:3]).all()
+    assert C[0, 3] == C[3, 0] and np.isclose(C[0, 3], -1.0 / np.sqrt(50.0))
+    assert C[0, 0] == C[3, 3] == 1.0
 
 
 def test_gh_full_rank_cosines_equal_pearson():

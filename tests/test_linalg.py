@@ -1,5 +1,8 @@
+import json
+import os
+import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,85 +225,54 @@ def test_right_svd_failure_is_a_numerical_error(monkeypatch):
         right_svd([[1.0, np.nan], [0.0, 1.0]])
 
 
-def test_one_blas_thread_pins_and_restores():
-    fns = linalg._openblas_threads()
-    if fns is None:
-        pytest.skip("numpy has no bundled OpenBLAS here")
-    get, set_ = fns
-    before = get()
-    set_(2)
-    try:
-        caller = get()
-        with pytest.raises(ValueError):
-            with linalg.one_blas_thread():
-                assert get() == 1
-                with linalg.one_blas_thread():
-                    assert get() == 1
-                assert get() == 1
-                raise ValueError
-        assert get() == caller
-    finally:
-        set_(before)
-
-
-def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
-    fns = linalg._openblas_threads()
-    if fns is None:
-        pytest.skip("numpy has no bundled OpenBLAS here")
-    get, set_ = fns
-    before = get()
-    set_(2)
-    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
-    try:
-        caller = get()
-        with linalg.one_blas_thread():
-            assert get() == caller
-    finally:
-        set_(before)
-
-
 def test_no_bundled_openblas_gives_no_thread_functions(monkeypatch):
     """Without a ``libscipy_openblas64_*`` file beside numpy the lookup gives None, and the
-    pin does nothing; the cache is cleared on both sides so the real lookup comes back."""
+    SVD runs as it is."""
     monkeypatch.setattr(linalg.os, "listdir", lambda path: ["libgfortran.so"])
-    linalg._openblas_threads.cache_clear()
-    try:
-        assert linalg._openblas_threads() is None
-        with linalg.one_blas_thread():
-            assert linalg.svd(np.eye(2)).rank == 2
-    finally:
-        monkeypatch.undo()
-        linalg._openblas_threads.cache_clear()
+    assert linalg._openblas_threads() is None
+    assert linalg.svd(np.eye(2)).rank == 2
 
 
-def test_one_blas_thread_overlapping_threads_restore_the_count():
-    """Pins that overlap across more threads than cores each see one
-    thread, and the caller's count comes back after the last."""
-    fns = linalg._openblas_threads()
-    if fns is None:
+def _child(code: str, threads: str) -> str:
+    """The stdout of ``python -c code`` started with ``OPENBLAS_NUM_THREADS=threads``."""
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_loading_linalg_sets_openblas_to_one_thread():
+    """A process started with two OpenBLAS threads runs on one once ``biplot.linalg`` loads."""
+    if linalg._openblas_threads() is None:
         pytest.skip("numpy has no bundled OpenBLAS here")
-    get, set_ = fns
-    before, interval = get(), sys.getswitchinterval()
-    seen, start = [], threading.Barrier(4)
+    code = "from biplot import linalg\nprint(linalg._openblas_threads()[0]())"
+    assert _child(code, "2").strip() == "1"
 
-    def work():
-        start.wait(timeout=60)
-        for _ in range(10000):
-            with linalg.one_blas_thread():
-                seen.append(get())
 
-    set_(2)
-    sys.setswitchinterval(1e-6)
-    try:
-        caller = get()
-        workers = [threading.Thread(target=work) for _ in range(4)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-        assert not any(w.is_alive() for w in workers)
-        assert len(seen) == 40000 and set(seen) == {1}
-        assert get() == caller
-    finally:
-        sys.setswitchinterval(interval)
-        set_(before)
+# Prints, as JSON, the sha256 of every array each public numeric entry point gives on a
+# seeded, centered 600 x 300 table (CA on |x| + 1, classical MDS on its first 200 rows).
+_HASHES = """import hashlib, json
+import numpy as np
+from biplot import baselines, engine, linalg
+x = np.random.default_rng(1).normal(size=(600, 300))
+x -= x.mean(axis=0)
+y = x[:200, :20]
+outputs = {name: (m.row_markers, m.col_markers, m.sigma_all) for name, m in
+           [("jk", engine.jk(x)), ("gh", engine.gh(x)), ("sqrt_biplot", engine.sqrt_biplot(x))]}
+res, ca = linalg.svd(x), baselines.correspondence_analysis(np.abs(x) + 1.0, 2)
+mds = baselines.classical_mds(np.sqrt(np.sum((y[:, None] - y[None]) ** 2, axis=2)), 2)
+outputs.update(svd=(res.U, res.sigma, res.V), right_svd=linalg.right_svd(x)[:2],
+               pca_scores=(engine.pca_scores(x),),
+               column_correlations=(engine.column_correlations(x, tuple(range(300))),),
+               correspondence_analysis=(ca.row_coords, ca.col_coords, ca.inertias),
+               classical_mds=(mds.coords, mds.eigenvalues))
+print(json.dumps({name: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+                  for name, arrays in outputs.items()}))
+"""
+
+
+def test_every_numeric_entry_point_gives_the_same_bits_at_one_and_two_blas_threads():
+    one, two = (json.loads(_child(_HASHES, threads)) for threads in ("1", "2"))
+    assert len(one) == 9
+    assert [name for name in one if one[name] != two[name]] == []
