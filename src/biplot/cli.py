@@ -21,11 +21,11 @@ _METHODS = ("jk", "pca", "mds", "ca")  # compare's panels, in their default orde
 
 
 def _read_table(path: str):
-    """Parse the CSV file at ``path`` as it streams in."""
+    """Parse the CSV file at ``path`` as it streams in, named by its stem (bad UTF-8 as U+FFFD)."""
     from .data import parse_table
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return parse_table(fh, Path(path).stem)
+            return parse_table(fh, os.fsencode(Path(path).stem).decode("utf-8", "replace"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -34,16 +34,17 @@ def _read_table(path: str):
 
 def _write_all(artifacts: list) -> None:
     """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str, making its parent
-    first. A path that is, or links to, a regular file is written to a temporary file beside
-    that file, with its mode, which replaces it once every artifact is written. If one fails,
-    remove the temporary files and those this call created, so no path that was there before
-    changes. A path that cannot be written is an InputError."""
+    first. A path whose ``os.path.realpath`` target is a regular file is written to a temporary
+    file beside that file, with its mode, which replaces it once every artifact is written. If
+    one fails, remove the temporary files and the targets this call created, so no path that
+    was there before changes. A path that cannot be written is an InputError."""
     made, staged = [], []  # the paths to remove on a failure; (temporary file, target) pairs
     try:
         for path, lines in artifacts:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-            out, created = path, not os.path.lexists(path)  # a device or link there stays
-            if os.path.isfile(target := os.path.realpath(path)):
+            # Judged by its target, but opened by name: /dev/stdout's realpath on a pipe is no file.
+            out, created = path, not os.path.lexists(target := os.path.realpath(path))
+            if os.path.isfile(target):
                 fd, out = tempfile.mkstemp(dir=os.path.dirname(target))
                 os.close(fd)
                 made.append(out)
@@ -51,7 +52,7 @@ def _write_all(artifacts: list) -> None:
                 shutil.copymode(target, out)
             with open(out, "w", encoding="utf-8") as fh:
                 if created:
-                    made.append(path)
+                    made.append(target)
                 fh.writelines(lines)
         for out, path in staged:
             os.replace(out, path)
@@ -66,28 +67,32 @@ def _write_all(artifacts: list) -> None:
 def _refuse_outputs(source, outputs, made=None) -> None:
     """Refuse ``outputs`` (paths) naming one file twice, the ``source`` table or a directory
     ('' names the working one), or with no directory to go in: the parent of each, or, for
-    outputs under a directory ``made`` by the write, the nearest existing path up from it."""
-    resolved = [Path(path).resolve() for path in outputs]
+    outputs under a directory ``made`` by the write, the nearest path up from it that exists,
+    a link that leads nowhere included. Each path is judged by its ``os.path.realpath``."""
+    resolved = [os.path.realpath(path) for path in outputs]
     if len(set(resolved)) < len(resolved):
         raise InputError(f"two outputs name the same file, {max(resolved, key=resolved.count)}")
-    if source is not None and Path(source).resolve() in resolved:
-        raise InputError(f"an output names the input table, {Path(source).resolve()}")
+    if source is not None and (table := os.path.realpath(source)) in resolved:
+        raise InputError(f"an output names the input table, {table}")
     if dirs := [path for path in map(Path, outputs) if os.path.isdir(path)]:
         raise InputError(f"cannot write {dirs[0]}: it is a directory")
     for path in [made] if made else map(Path, outputs):
-        at = next(p for p in (path, *path.parents) if os.path.exists(p)) if made else path.parent
+        at = next(p for p in (path, *path.parents) if os.path.lexists(p)) if made else path.parent
         if not os.path.isdir(at):
             raise InputError(f"cannot write {path}: {at} is not a directory")
 
 
-def _analyze(args, source=None, **options) -> int:
-    """Refuse outputs as ``_refuse_outputs`` does, run ``report.analyze`` with ``options``
-    on the ``source`` table, else case ``args.case_id``, write, print the fit."""
-    _refuse_outputs(source, [path for path in (args.json, args.svg) if path is not None])
+def _cmd_analyze(args) -> int:
+    if args.type is not None and args.gamma is not None:
+        raise InputError("--type and --gamma are mutually exclusive")
+    gamma = args.gamma if args.gamma is not None else GAMMA_BY_TYPE[args.type or "jk"]
+    method_name(gamma, args.dims, args.svg is not None)  # judged before the outputs and the read
+    _refuse_outputs(args.input, [path for path in (args.json, args.svg) if path is not None])
     from . import report, data  # report first: the peak resident set is ~0.15 MB lower
     # Unnamed, the table and its z-scored buffer are freed when the fit returns, before the writes.
-    model, qual, rep = report.analyze(_read_table(source) if source is not None else
-                                      data.load_case(args.case_id), **options, overwrite_table=True)
+    model, qual, rep = report.analyze(data.load_case(args.case_id) if args.input is None else
+                                      _read_table(args.input), gamma=gamma, dims=args.dims,
+                                      scale=args.scale, overwrite_table=True)
     artifacts = []
     if args.json is not None:
         artifacts.append((args.json, rep.json_lines()))
@@ -97,14 +102,6 @@ def _analyze(args, source=None, **options) -> int:
     print(f"{rep.dataset['name']}: qr_overall = {qual.qr_overall:.4f} ({rep.method['name']}, "
           f"dims={rep.method['dims']}, scale={rep.preprocess['mode']})")
     return EXIT_OK
-
-
-def _cmd_analyze(args) -> int:
-    if args.type is not None and args.gamma is not None:
-        raise InputError("--type and --gamma are mutually exclusive")
-    gamma = args.gamma if args.gamma is not None else GAMMA_BY_TYPE[args.type or "jk"]
-    method_name(gamma, args.dims, args.svg is not None)  # judged before the outputs and the read
-    return _analyze(args, args.input, gamma=gamma, dims=args.dims, scale=args.scale)
 
 
 def _panel(table, method, title, xy, share, axes=None, cols=None, /, **doc):
@@ -154,7 +151,7 @@ def _cmd_compare(args) -> int:
     paths = [out_dir / f"{slug}_{m}.{ext}" for m in methods for ext in ("json", "svg")]
     paths.append(out_dir / f"{slug}_summary.json")
     _refuse_outputs(args.input, paths, out_dir)
-    from . import report, data, linalg  # report first, as in _analyze
+    from . import report, data, linalg  # report first, as in _cmd_analyze
     table = _read_table(args.input)
     # Every panel checks its inputs before any file is written; each writes its own files.
     panels = {}
@@ -188,8 +185,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_case(args) -> int:
-    if args.dump_csv is None:
-        return _analyze(args)
+    if args.dump_csv is None:  # the embedded table, analyzed as analyze's defaults do
+        return _cmd_analyze(args)
     if others := [f"--{key}" for key in ("json", "svg") if getattr(args, key) is not None]:
         raise InputError(f"--dump-csv cannot be combined with {' or '.join(others)}")
     _refuse_outputs(None, [args.dump_csv])
@@ -224,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-csv")
     p.add_argument("--json")
     p.add_argument("--svg")
-    p.set_defaults(func=_cmd_case)
+    p.set_defaults(func=_cmd_case, input=None, type=None, gamma=None, dims=2, scale="zscore")
     return parser
 
 

@@ -630,6 +630,58 @@ def test_a_failed_write_keeps_a_path_that_was_there_before(tmp_path, case1_csv, 
     assert keep.read_text(encoding="utf-8") == report_path.read_text(encoding="utf-8") == "kept"
 
 
+def test_a_failed_write_through_a_dangling_link_leaves_nothing_at_its_target(tmp_path,
+                                                                             case1_csv, capsys):
+    """The report goes through a symlink to a file that is not there and the SVG to
+    ``/dev/full``: the report's file, made by this call at the link's target, is removed and
+    the link stays. Once the SVG can be written, the report lands at the target."""
+    link, target = tmp_path / "link.json", tmp_path / "target.json"
+    link.symlink_to(target.name)
+    argv = ["analyze", str(case1_csv), "--json", str(link)]
+    assert main([*argv, "--svg", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and "Traceback" not in err
+    assert link.is_symlink() and not os.path.lexists(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case1.csv", "link.json"]
+    assert main([*argv, "--svg", str(tmp_path / "p.svg")]) == 0
+    assert link.is_symlink() and json.loads(target.read_text(encoding="utf-8"))["dataset"]
+
+
+@pytest.mark.parametrize("argv, verb", [(["analyze", "loop"], "read"),
+                                        (["analyze", "t.csv", "--json", "loop"], "write"),
+                                        (["compare", "t.csv", "--out", "loop"], "write")],
+                         ids=["input", "json", "compare-out"])
+def test_a_symlink_loop_exits_2_with_a_message(tmp_path, capsys, monkeypatch, argv, verb):
+    """A symlink that leads to itself, as the input table, the report or ``compare``'s
+    directory, is named in a refusal rather than raised as a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text(case_csv(1), encoding="utf-8")
+    (tmp_path / "loop").symlink_to("loop")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot {verb} loop: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loop", "t.csv"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_a_table_whose_name_is_not_utf8_is_named_with_the_replacement_character(tmp_path,
+                                                                                command):
+    """A file name with a byte that is no UTF-8 names the dataset with U+FFFD, which the JSON
+    encoder takes, rather than with the surrogate the file system decoding gives."""
+    table = tmp_path / os.fsdecode(b"\xfe.csv")
+    table.write_text(case_csv(1), encoding="utf-8")
+    if command == "analyze":
+        out = tmp_path / "r.json"
+        assert main(["analyze", str(table), "--json", str(out),
+                     "--svg", str(tmp_path / "p.svg")]) == 0
+        name = json.loads(out.read_text(encoding="utf-8"))["dataset"]["name"]
+    else:
+        out = tmp_path / "panels"
+        assert main(["compare", str(table), "--out", str(out)]) == 0
+        name = json.loads((out / "_summary.json").read_text(encoding="utf-8"))["dataset"]
+    assert name == "\ufffd"
+
+
 def test_a_pre_existing_output_is_rewritten_with_the_bytes_of_a_fresh_one(tmp_path, case1_csv):
     """A ``--json`` the user had, of mode 0640, and a new ``--svg`` are both written with the
     bytes a run into fresh paths gives; the user's file keeps its mode, and no temporary file
@@ -872,6 +924,23 @@ def test_a_refused_request_reads_no_table(tmp_path, capsys, monkeypatch, argv, e
     assert capsys.readouterr().err == "error: " + err.format(same=same, table=table_path) + "\n"
     assert [p.name for p in tmp_path.iterdir()] == [table.name]
     assert table.read_text(encoding="utf-8") == case_csv(1)
+
+
+@pytest.mark.parametrize("leads_to", ["out", "nowhere/panels"], ids=["loop", "dangling"])
+def test_compare_refuses_an_out_link_to_no_directory_before_the_read(tmp_path, capsys,
+                                                                      monkeypatch, leads_to):
+    """A ``--out`` that is a looping symlink or one that leads nowhere is no directory to go
+    in: it is refused as a file there is, before the table is read and before numpy loads."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text(case_csv(1), encoding="utf-8")
+    (tmp_path / "out").symlink_to(leads_to)
+    monkeypatch.setattr("biplot.data.parse_table", mock.Mock(side_effect=AssertionError("read")))
+    argv = ["compare", "t.csv", "--out", "out"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write out: out is not a directory\n"
+    assert _loaded(tmp_path, [argv], ["numpy", "biplot.data"]) == [[], [2]]
+    assert (tmp_path / "out").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "t.csv"]
 
 
 # Imports biplot, then runs the CLI on each argv of the JSON list in argv[1]; prints, as
