@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .catalog import judge_dims
 from .data import DataTable
 from .errors import InputError
 
@@ -52,8 +53,7 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
         raise InputError("distance matrix must have a zero diagonal")
     if np.any(D < 0):
         raise InputError("distances must be nonnegative")
-    if dims < 1:
-        raise InputError(f"dims must be positive, got {dims}")
+    judge_dims(dims)
     i, j = np.unravel_index(np.argmax(D), D.shape)
     lo, hi = 2 * np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max / (4 * D.size))
     if not (D[i, j] == 0 or lo <= D[i, j] <= hi):
@@ -112,10 +112,7 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
     values equals the chi-square statistic divided by the grand total.
     """
     P, r, c = ca_input(t)
-    max_axes = min(len(r), len(c)) - 1
-    if not 1 <= dims <= max_axes:
-        raise InputError(f"dims must lie in [1, {max_axes}] for a "
-                         f"{len(r)}x{len(c)} table, got {dims}")
+    judge_dims(dims, min(len(r), len(c)) - 1, f"min({len(r)}, {len(c)}) - 1 = ")  # axes of inertia
     S = P  # the standardized residuals (P - rc) / sqrt(rc), formed in P by blocks of rows
     rows = max(1, linalg.BLOCK_CELLS // len(c))
     for i in range(0, len(S), rows):

@@ -1,4 +1,4 @@
-"""The embedded case-study tables, the named biplot types and scales, and the judge of a fit's
+"""The embedded case-study tables, the named biplot types and scales, and the judges of a fit's
 gamma and axes: what the CLI reads and judges before it computes, so nothing here needs numpy."""
 
 from numbers import Integral
@@ -10,18 +10,25 @@ SCALES = ("none", "center", "zscore")  # the preprocessing modes
 
 
 def method_name(gamma: float, dims: int = 1, svg: bool = False) -> str:
-    """The type of ``gamma`` (jk, gh or sqrt), else "biplot". InputError, in this order: for a
-    gamma outside [0, 1] or NaN, for a ``dims`` that is no integer (NumPy's are), for ``svg``
-    a ``dims`` other than 2, for a ``dims`` below 1."""
+    """The type of ``gamma`` (jk, gh or sqrt), else "biplot". InputError for a gamma outside
+    [0, 1] or NaN, then as ``judge_dims`` for ``dims`` and ``svg``."""
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must lie in [0, 1], got {gamma}")
+    judge_dims(dims, svg=svg)
+    return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
+
+
+def judge_dims(dims: int, top: int | None = None, of: str = "", svg: bool = False) -> None:
+    """InputError, in this order, for a ``dims`` that is no integer (NumPy's are), for ``svg`` one
+    other than 2, for one below 1, and for one above ``top``, given after ``of`` (as "rank=")."""
     if not isinstance(dims, Integral):
         raise InputError(f"dims must be an integer, got {dims}")
     if svg and dims != 2:
         raise InputError(f"SVG rendering requires a 2-D model, got dims={dims}")
     if dims < 1:
         raise InputError(f"dims must be positive, got {dims}")
-    return next((name for name, g in GAMMA_BY_TYPE.items() if g == gamma), "biplot")
+    if top is not None and dims > top:
+        raise InputError(f"dims must lie in [1, {of}{top}], got {dims}")
 
 # Case-study fixtures. Values are kept verbatim as published.
 

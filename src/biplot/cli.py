@@ -232,8 +232,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except InputError as exc:
+        status = args.func(args)
+        if sys.stdout is not None:  # None when fd 1 is closed
+            sys.stdout.flush()  # so a reader that has gone is met here, not at exit
+        return status
+    except (InputError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # fd 1 to the null device: nothing flushes at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            exc = f"cannot write stdout: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .catalog import GAMMA_BY_TYPE, method_name
+from .catalog import GAMMA_BY_TYPE, judge_dims, method_name
 from .data import DataTable, refuse_unusable_column
 from .errors import InputError, NumericalError
 
@@ -75,8 +75,7 @@ def fit_biplot(x, gamma: float, dims: int = 2,
         raise InputError(f"label counts ({len(row_labels)}, {len(col_labels)}) do not match "
                          f"matrix shape {m.shape}")
     sigma, V, rank = linalg.right_svd(m)
-    if dims > rank:
-        raise InputError(f"dims must lie in [1, rank={rank}], got {dims}")
+    judge_dims(dims, rank, "rank=")
     # sigma > 0 on the retained axes, as dims <= rank
     s = sigma[:dims]
     A = m @ V[:, :dims]  # U_s diag(sigma_s), the JK rows
@@ -194,8 +193,7 @@ def pca_scores(x, dims: int = 2) -> np.ndarray:
         raise InputError(f"pca_scores requires centered input; column {j} has mean "
                          f"{m.mean(axis=0)[j]:.3g}")
     res = linalg.svd(m)
-    if not 1 <= dims <= res.rank:
-        raise InputError(f"dims must lie in [1, rank={res.rank}], got {dims}")
+    judge_dims(dims, res.rank, "rank=")
     return m @ res.V[:, :dims]
 
 

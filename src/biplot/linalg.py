@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .catalog import judge_dims
 from .errors import InputError, NumericalError
 
 RANK_TOL_FACTOR = 1e-12
@@ -114,9 +115,7 @@ def axis_signs(m: np.ndarray) -> np.ndarray:
 
 def low_rank_approx(res: SvdResult, dims: int) -> np.ndarray:
     """Best rank-``dims`` approximation (truncated SVD reconstruction)."""
-    r = res.sigma.shape[0]
-    if not 1 <= dims <= r:
-        raise InputError(f"dims must be in [1, {r}], got {dims}")
+    judge_dims(dims, res.sigma.size)
     return (res.U[:, :dims] * res.sigma[:dims]) @ res.V[:, :dims].T
 
 

@@ -93,7 +93,7 @@ def analyze(table: DataTable, gamma: float = 1.0, dims: int = 2, scale: str = "z
     quality of representation and assemble the report; ``method_name`` judges ``gamma`` and
     ``dims`` before the table is touched; ``overwrite_table`` is for ``preprocess``."""
     name = method_name(gamma, dims)
-    if scale != "zscore":  # preprocess refuses a zscore table itself
+    if scale in ("none", "center"):  # preprocess refuses a zscore table, and any other scale
         refuse_unusable_column(table, "correlation")  # at every width, before any work
     x, record = preprocess(table, scale, overwrite_table)
     model = fit_biplot(x, gamma=gamma, dims=dims, row_labels=table.row_labels,

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -194,13 +195,37 @@ def test_ca_rejects_negative_and_zero_margins():
         correspondence_analysis(np.array([[1e-320, 1, 2], [2e-320, 3, 1], [3e-320, 2, 5]]), 2)
 
 
-@pytest.mark.parametrize("dims", [0, 3])
-def test_ca_dims_must_lie_below_the_smaller_side(dims):
+@pytest.mark.parametrize("dims, says", [(0, "dims must be positive, got 0"),
+                                        (3, "dims must lie in [1, min(5, 3) - 1 = 2], got 3")],
+                         ids=["0", "3"])
+def test_ca_dims_must_lie_below_the_smaller_side(dims, says):
     # A 5x3 table has min(5, 3) - 1 = 2 axes of inertia.
     X = np.arange(1.0, 16.0).reshape(5, 3)
-    with pytest.raises(InputError, match=rf"^dims must lie in \[1, 2\] for a 5x3 table, "
-                                         rf"got {dims}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(says)}$"):
         correspondence_analysis(X, dims)
+
+
+_TRIANGLE = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 2.0], [1.5, 2.0, 0.0]])
+_CENTERED = np.array([[1.0, -2.0], [-3.0, 1.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("dims", [2.0, np.float64(2.0), "2"], ids=["float", "float64", "str"])
+@pytest.mark.parametrize("refuse, factors", [
+    (lambda dims: correspondence_analysis(np.arange(1.0, 16.0).reshape(5, 3), dims), True),
+    (lambda dims: classical_mds(_TRIANGLE, dims), True),
+    (lambda dims: pca_scores(_CENTERED, dims), False),
+    (lambda dims: linalg.low_rank_approx(linalg.svd(_CENTERED), dims), False),
+], ids=["ca", "mds", "pca_scores", "low_rank_approx"])
+def test_a_dims_that_is_no_integer_is_refused_with_a_message(monkeypatch, refuse, factors, dims):
+    """Each entry point takes ``catalog.judge_dims``'s integer rule, and CA and classical MDS
+    apply it before they factor."""
+    calls = []
+    if factors:  # any factorization is recorded, and fails
+        monkeypatch.setattr(linalg, "right_svd", calls.append)
+        monkeypatch.setattr(np.linalg, "eigh", calls.append)
+    with pytest.raises(InputError, match=f"^{re.escape(f'dims must be an integer, got {dims}')}$"):
+        refuse(dims)
+    assert calls == []
 
 
 def test_pca_map_scores_uncorrelated():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -994,3 +995,41 @@ def test_analyze_and_case_never_load_the_baselines(tmp_path):
 
 def test_every_exported_name_resolves():
     assert [name for name in biplot.__all__ if not hasattr(biplot, name)] == []
+
+
+def _cli_child(cwd, command, unbuffered=False, **popen):
+    """The finished child process of ``python -m biplot.cli`` run by ``sh -c command`` in
+    ``cwd``, with Python's output buffering on or off."""
+    src = str(Path(biplot.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(["sh", "-c", f'exec "$0" -m biplot.cli {command}', sys.executable],
+                          cwd=cwd, env=env, stderr=subprocess.PIPE, timeout=120, **popen)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command, artifacts", [("case 2", 0), ("compare case2.csv", 9)],
+                         ids=["case", "compare"])
+def test_a_stdout_whose_reader_has_gone_exits_2_with_one_line(tmp_path, command, artifacts,
+                                                              unbuffered):
+    """A stdout pipe whose read end is closed gives exit 2 and one line on stderr, with no
+    traceback and no "Exception ignored" at exit, and the artifacts written before it stay."""
+    (tmp_path / "case2.csv").write_text(case_csv(2), encoding="utf-8")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_child(tmp_path, command, unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == ("error: cannot write stdout: "
+                                    f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+    assert len(list(tmp_path.iterdir())) == 1 + artifacts
+
+
+def test_a_closed_stdout_is_no_error(tmp_path):
+    """With fd 1 closed Python has no ``sys.stdout``: ``case 2`` prints nowhere and exits 0."""
+    proc = _cli_child(tmp_path, "case 2 >&-")
+    assert (proc.returncode, proc.stderr) == (0, b"")

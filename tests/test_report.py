@@ -191,6 +191,16 @@ def test_analyze_refuses_gamma_before_it_touches_the_table(options, says):
     assert t.values.tobytes() == raw
 
 
+def test_analyze_names_an_unknown_scale_before_it_judges_the_columns():
+    """A scale that is none of SCALES is named, not a constant column it would never read, and
+    the table handed over with ``overwrite_table`` keeps its values, bit for bit."""
+    t = parse_table(",x,y\na,1,5\nb,2,5\nc,4,5\n", "t")
+    raw = t.values.tobytes()
+    with pytest.raises(InputError, match="^unknown preprocessing mode 'bogus'$"):
+        analyze(t, scale="bogus", overwrite_table=True)
+    assert t.values.tobytes() == raw
+
+
 def test_a_report_made_by_replace_is_read_only_too():
     rep = analyze(load_case(1))[2]
     other = dataclasses.replace(rep, cosines=-rep.cosines)
