@@ -75,7 +75,7 @@ def classical_mds(d, dims: int = 2) -> MdsEmbedding:
     coords = evecs[:, :keep] * np.sqrt(top)
     coords *= linalg.axis_signs(coords)
     pos_mass = float(np.sum(evals[evals > tol]))
-    strain = float((pos_mass - np.sum(top)) / pos_mass) if pos_mass > 0 else 0.0
+    strain = float((pos_mass - np.sum(top)) / pos_mass)
     return MdsEmbedding(coords=coords, eigenvalues=top.copy(), strain=strain,
                         truncated=keep < dims)
 

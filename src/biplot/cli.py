@@ -37,12 +37,16 @@ def _write_all(artifacts: list) -> None:
     first. A path whose ``os.path.realpath`` target is a regular file is written to a temporary
     file beside that file, with its mode, which replaces it once every artifact is written. If
     one fails, remove the temporary files and the targets this call created, so no path that
-    was there before changes. A path that cannot be written is an InputError."""
-    made, staged = [], []  # the paths to remove on a failure; (temporary file, target) pairs
+    was there before changes. A path that cannot be written is an InputError. The command's own
+    stdout, by any name, is never replaced: its lines go to ``sys.stdout`` after the files."""
+    made, staged, own = [], [], None  # paths to remove on a failure; (temporary file, target)s
     try:
         for path, lines in artifacts:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-            # Judged by its target, but opened by name: /dev/stdout's realpath on a pipe is no file.
+            if sys.stdout and os.path.exists(path) and os.path.samestat(os.stat(path), os.stat(1)):
+                own = lines
+                continue
+            # Judged by its target, but opened by name: a /dev/fd/N pipe's realpath is no file.
             out, created = path, not os.path.lexists(target := os.path.realpath(path))
             if os.path.isfile(target):
                 fd, out = tempfile.mkstemp(dir=os.path.dirname(target))
@@ -62,6 +66,8 @@ def _write_all(artifacts: list) -> None:
     finally:
         for path in made:
             Path(path).unlink(missing_ok=True)
+    if own is not None:
+        sys.stdout.writelines(own)
 
 
 def _refuse_outputs(source, outputs, made=None) -> None:
@@ -236,8 +242,8 @@ def main(argv=None) -> int:
         if sys.stdout is not None:  # None when fd 1 is closed
             sys.stdout.flush()  # so a reader that has gone is met here, not at exit
         return status
-    except (InputError, BrokenPipeError) as exc:
-        if isinstance(exc, BrokenPipeError):  # fd 1 to the null device: nothing flushes at exit
+    except (InputError, OSError) as exc:  # an OSError that escapes a command is stdout's
+        if isinstance(exc, OSError):  # fd 1 to the null device: nothing flushes at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
             exc = f"cannot write stdout: {exc}"
         print(f"error: {exc}", file=sys.stderr)

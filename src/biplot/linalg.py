@@ -102,7 +102,7 @@ def r_factor(m: np.ndarray) -> np.ndarray:
 
 def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
     """The number of singular values above ``s[0] * max(shape) * 1e-12``."""
-    tol = s[0] * max(shape) * RANK_TOL_FACTOR if s.size else 0.0
+    tol = s[0] * max(shape) * RANK_TOL_FACTOR
     return int(np.count_nonzero(s > tol))
 
 

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -380,11 +381,13 @@ def test_compare_names_the_fits_column_rule_where_the_ca_panel_refuses_too(tmp_p
 
 
 @pytest.mark.parametrize("methods", ["pca", "mds,ca", "ca,jk", "jk,pca,mds"])
-@pytest.mark.parametrize("source", ["case1", "400x30"])
+@pytest.mark.parametrize("source", ["case1", "400x30", "150x120"])
 def test_any_subset_of_methods_writes_the_panels_of_the_full_run(tmp_path, case1_csv, source,
                                                                   methods):
-    path = (case1_csv if source == "case1"
-            else _seeded_csv(tmp_path / "t.csv", 400, 30, 4, positive=True))
+    # 150 x 120: more than 100 rows and columns, so every layer of dots, arrows and squares
+    # labels only its 100 points farthest out.
+    path = case1_csv if source == "case1" else _seeded_csv(
+        tmp_path / "t.csv", *map(int, source.split("x")), 4, positive=True)
     for out, chosen in (("full", "jk,pca,mds,ca"), ("part", methods)):
         assert main(["compare", str(path), "--methods", chosen, "--out", str(tmp_path / out)]) == 0
     names = [f"{path.stem}_{m}.{ext}" for m in methods.split(",") for ext in ("json", "svg")]
@@ -903,6 +906,8 @@ _REFUSALS = {
     # /dev/null is a file on every POSIX system, so nothing can be made under it.
     "parent-not-a-directory": (["analyze", "t.csv", "--json", "/dev/null/r.json"],
                                "cannot write /dev/null/r.json: /dev/null is not a directory"),
+    "parent-missing": (["analyze", "t.csv", "--json", "no/such/r.json"],
+                       "cannot write no/such/r.json: no/such is not a directory"),
     "out-under-a-file": (["compare", "t.csv", "--out", "/dev/null/panels"],
                          "cannot write /dev/null/panels: /dev/null is not a directory"),
     "output-is-a-directory": (["analyze", "t.csv", "--json", "."],
@@ -997,21 +1002,73 @@ def test_every_exported_name_resolves():
     assert [name for name in biplot.__all__ if not hasattr(biplot, name)] == []
 
 
+def test_the_package_stays_within_its_line_budget():
+    """``src/biplot`` has at most 1550 lines, the ceiling ROADMAP.md sets."""
+    lines = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted(Path(biplot.__file__).parent.glob("*.py"))}
+    assert sum(lines.values()) <= 1550, lines
+
+
 def _cli_child(cwd, command, unbuffered=False, **popen):
     """The finished child process of ``python -m biplot.cli`` run by ``sh -c command`` in
-    ``cwd``, with Python's output buffering on or off."""
+    ``cwd``, with Python's output buffering on or off, in Python's dev mode with every warning
+    an error: ResourceWarning and DeprecationWarning show, and one that cannot be raised, as
+    for a file closed by the collector, is still printed to stderr."""
     src = str(Path(biplot.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run(["sh", "-c", f'exec "$0" -m biplot.cli {command}', sys.executable],
-                          cwd=cwd, env=env, stderr=subprocess.PIPE, timeout=120, **popen)
+    return subprocess.run(["sh", "-c", f'exec "$0" -X dev -W error -m biplot.cli {command}',
+                           sys.executable], cwd=cwd, env=env, stderr=subprocess.PIPE,
+                          timeout=120, **popen)
+
+
+@pytest.fixture(scope="module")
+def dev_mode_inputs(tmp_path_factory):
+    """The tables of ``test_a_command_in_dev_mode_exits_0_with_nothing_on_stderr``."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    (inputs / "c2.csv").write_text(case_csv(2), encoding="utf-8")
+    (inputs / os.fsdecode(b"\xfe.csv")).write_text(case_csv(2), encoding="utf-8")
+    # A blank and a whitespace-only line the fast parser skips, a quoted label with a comma
+    # it splits off, and a 1_000 cell that sends the table to the reference parser.
+    (inputs / "odd.csv").write_text(',a,b\n"r,1",1.5,2\n\nr2,1_000,4\n \t \nr3,5,6.25\nr4,2,1\n',
+                                    encoding="utf-8")
+    _seeded_csv(inputs / "wide.csv", 150, 120, 1, positive=True)
+    _seeded_csv(inputs / "blocks.csv", 2000, 100, 1, positive=True)  # 4 of CA's row blocks
+    return inputs
+
+
+# The commands that must run clean in dev mode; {in} is the directory of dev_mode_inputs.
+_DEV_MODE_RUNS = {
+    "help": "--help",
+    "case": "case 1 --json r.json --svg p.svg",
+    "dump-csv": "case 2 --dump-csv c2.csv",
+    "sqrt-center": "analyze {in}/c2.csv --type sqrt --scale center --json r.json --svg p.svg",
+    "compare": "compare {in}/c2.csv",
+    "odd-lines": "analyze {in}/odd.csv --json r.json --svg p.svg",
+    "not-utf8-name": "analyze {in}/\"$(printf '\\376')\".csv --json r.json --svg p.svg",
+    "150x120": "analyze {in}/wide.csv --json r.json --svg p.svg",
+    "150x120-compare": "compare {in}/wide.csv",
+    "150x120-ca": "compare {in}/wide.csv --methods ca",
+    "150x120-mds-pca": "compare {in}/wide.csv --methods mds,pca",
+    "2000x100-ca": "compare {in}/blocks.csv --methods ca",
+    "2000x100-jk-ca": "compare {in}/blocks.csv --methods jk,ca",
+}
+
+
+@pytest.mark.parametrize("command", list(_DEV_MODE_RUNS.values()), ids=list(_DEV_MODE_RUNS))
+def test_a_command_in_dev_mode_exits_0_with_nothing_on_stderr(tmp_path, dev_mode_inputs,
+                                                                command):
+    proc = _cli_child(tmp_path, command.replace("{in}", shlex.quote(str(dev_mode_inputs))),
+                      stdout=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command, artifacts", [("case 2", 0), ("compare case2.csv", 9)],
-                         ids=["case", "compare"])
+@pytest.mark.parametrize("command, artifacts", [("case 2", 0), ("compare case2.csv", 9),
+                                                ("analyze case2.csv --json /dev/stdout", 0)],
+                         ids=["case", "compare", "json-stdout"])
 def test_a_stdout_whose_reader_has_gone_exits_2_with_one_line(tmp_path, command, artifacts,
                                                               unbuffered):
     """A stdout pipe whose read end is closed gives exit 2 and one line on stderr, with no
@@ -1033,3 +1090,33 @@ def test_a_closed_stdout_is_no_error(tmp_path):
     """With fd 1 closed Python has no ``sys.stdout``: ``case 2`` prints nowhere and exits 0."""
     proc = _cli_child(tmp_path, "case 2 >&-")
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("command", ["case 2", "analyze case2.csv --json /dev/stdout"],
+                         ids=["case", "json-stdout"])
+def test_a_full_stdout_exits_2_with_one_line(tmp_path, command):
+    (tmp_path / "case2.csv").write_text(case_csv(2), encoding="utf-8")
+    proc = _cli_child(tmp_path, f"{command} > /dev/full")
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == ("error: cannot write stdout: "
+                                    f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("command, redirect", [("analyze case2.csv --json", ">"),
+                                               ("analyze case2.csv --json", ">>"),
+                                               ("case 1 --dump-csv", ">")],
+                         ids=["json", "json-appended", "dump-csv"])
+def test_an_output_that_is_the_commands_stdout_is_written_through_it(tmp_path, command,
+                                                                     redirect):
+    """``/dev/stdout`` as an output, with stdout sent to a file, is never replaced under the
+    shell's descriptor: the file holds what it had (under ``>>``), then the artifact's bytes
+    as a plain file gets them, then the summary line."""
+    (tmp_path / "case2.csv").write_text(case_csv(2), encoding="utf-8")
+    (tmp_path / "log").write_bytes(b"kept\n")
+    procs = [_cli_child(tmp_path, f"{command} out > first"),
+             _cli_child(tmp_path, f"{command} /dev/stdout {redirect} log")]
+    assert [(proc.returncode, proc.stderr) for proc in procs] == [(0, b""), (0, b"")]
+    summary = (tmp_path / "first").read_bytes().replace(b"wrote out", b"wrote /dev/stdout")
+    kept = b"kept\n" if redirect == ">>" else b""
+    assert (tmp_path / "log").read_bytes() == kept + (tmp_path / "out").read_bytes() + summary
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case2.csv", "first", "log", "out"]
