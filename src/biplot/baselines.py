@@ -119,9 +119,9 @@ def correspondence_analysis(t, dims: int = 2) -> CaModel:
         block, rc = S[i:i + rows], np.outer(r[i:i + rows], c)
         block -= rc
         block /= np.sqrt(rc, out=rc)
-    sigma, V, _ = linalg.right_svd(S)
-    row_coords = (S @ V[:, :dims]) / np.sqrt(r)[:, None]  # U_s diag(sigma_s) = S V_s
-    col_coords = (V[:, :dims] * sigma[:dims]) / np.sqrt(c)[:, None]
+    sigma, V, _ = linalg.right_svd(S, dims)
+    row_coords = (S @ V) / np.sqrt(r)[:, None]  # U_s diag(sigma_s) = S V_s
+    col_coords = (V * sigma[:dims]) / np.sqrt(c)[:, None]
     inertias = sigma ** 2
     return CaModel(row_coords=row_coords, col_coords=col_coords,
                    inertias=inertias[:dims].copy(),

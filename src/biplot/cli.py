@@ -5,6 +5,7 @@ to compute, so ``--help``, a refused request and ``case N --dump-csv`` never loa
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
 import shutil
 import sys
@@ -32,19 +33,35 @@ def _read_table(path: str):
         raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _writers() -> list:
+    """``(fd, os.fstat(fd))`` of each descriptor open for writing: fd 1 first, if ``sys.stdout``."""
+    found, fds = [], os.listdir("/dev/fd") if os.path.isdir("/dev/fd") else (0, 1, 2)  # or stdio
+    for fd in sorted(map(int, fds), key=lambda fd: fd != 1):
+        try:  # fcntl fails on the descriptor that listed /dev/fd, closed by now
+            if (fd != 1 or sys.stdout) and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE:
+                found.append((fd, os.fstat(fd)))  # O_WRONLY or O_RDWR, as O_RDONLY is 0
+        except OSError:
+            pass
+    return found
+
+
 def _write_all(artifacts: list) -> None:
     """Write each ``(path, lines)`` artifact, ``lines`` an iterable of str, making its parent
     first. A path whose ``os.path.realpath`` target is a regular file is written to a temporary
     file beside that file, with its mode, which replaces it once every artifact is written. If
     one fails, remove the temporary files and the targets this call created, so no path that
-    was there before changes. A path that cannot be written is an InputError. The command's own
-    stdout, by any name, is never replaced: its lines go to ``sys.stdout`` after the files."""
-    made, staged, own = [], [], None  # paths to remove on a failure; (temporary file, target)s
+    was there before changes. A path that cannot be written is an InputError. A file the process
+    holds open for writing, by any name, is never replaced: its lines go through that descriptor
+    after the files, and the command's own stdout's through ``sys.stdout``, last."""
+    made, staged, held = [], [], []  # paths to remove on a failure; (temp, target)s; (fd, ...)s
+    writers = _writers()
     try:
         for path, lines in artifacts:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-            if sys.stdout and os.path.exists(path) and os.path.samestat(os.stat(path), os.stat(1)):
-                own = lines
+            fd = next((fd for fd, st in writers
+                       if os.path.exists(path) and os.path.samestat(os.stat(path), st)), None)
+            if fd is not None:
+                held.append((fd, path, lines))
                 continue
             # Judged by its target, but opened by name: a /dev/fd/N pipe's realpath is no file.
             out, created = path, not os.path.lexists(target := os.path.realpath(path))
@@ -61,13 +78,17 @@ def _write_all(artifacts: list) -> None:
         for out, path in staged:
             os.replace(out, path)
         made.clear()  # every artifact is in place: nothing left to remove
+        for fd, path, lines in held:
+            if fd != 1:  # stdout's go last, through sys.stdout: their failure is stdout's
+                with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                    fh.writelines(lines)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
     finally:
         for path in made:
             Path(path).unlink(missing_ok=True)
-    if own is not None:
-        sys.stdout.writelines(own)
+    if own := [lines for fd, _, lines in held if fd == 1]:
+        sys.stdout.writelines(own[0])
 
 
 def _refuse_outputs(source, outputs, made=None) -> None:

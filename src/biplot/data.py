@@ -190,9 +190,9 @@ def _parse_fast(fh, name: str) -> DataTable:
             labels.append(label)
             rests.append(rest)
         text = "[[" + "],[".join(rests) + "]]"
-        # Numbers only: no string, true, false, null or object here, and
-        # fromiter refuses a row that is not an array or a nested array.
-        if '"' in text or "t" in text or "f" in text or "n" in text or "{" in text:
+        # Numbers only: no string, true, false or null (fromiter reads it as NaN) here;
+        # fromiter refuses an object or array cell, and the counts below an object row.
+        if '"' in text or "t" in text or "f" in text or "n" in text:
             raise ValueError("a cell that is not a JSON number")
         if _INT_NEG_ZERO.search(text):
             raise ValueError("integer -0, which orjson reads as 0")

@@ -74,15 +74,14 @@ def fit_biplot(x, gamma: float, dims: int = 2,
     if len(row_labels) != n or len(col_labels) != p:
         raise InputError(f"label counts ({len(row_labels)}, {len(col_labels)}) do not match "
                          f"matrix shape {m.shape}")
-    sigma, V, rank = linalg.right_svd(m)
+    sigma, V, rank = linalg.right_svd(m, dims)
     judge_dims(dims, rank, "rank=")
-    # sigma > 0 on the retained axes, as dims <= rank
-    s = sigma[:dims]
-    A = m @ V[:, :dims]  # U_s diag(sigma_s), the JK rows
+    s = sigma[:dims]  # > 0, as dims <= rank
+    A = m @ V  # U_s diag(sigma_s), the JK rows
     if gamma < 1.0:
         Q, R = np.linalg.qr(A)  # U_s orthonormal to rounding, unlike A / s
         A = Q * np.where(np.diag(R) < 0, -1.0, 1.0) * s ** gamma
-    B = np.multiply(V[:, :dims], s ** (1.0 - gamma), order="C")
+    B = np.multiply(V, s ** (1.0 - gamma), order="C")
     return BiplotModel(gamma=float(gamma), dims=int(dims),
                        row_markers=A, col_markers=B,
                        sigma_retained=s.copy(), sigma_all=sigma, rank=rank,

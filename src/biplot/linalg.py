@@ -76,14 +76,15 @@ def svd(values) -> SvdResult:
                      np.multiply(Vt.T, signs, order="C"), _rank(s, m.shape))
 
 
-def right_svd(values) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(sigma, V, rank)`` of a dense real matrix X without forming X's U:
-    ``svd`` of the triangular factor R of X = QR (from ``r_factor``), which
-    has X's singular values and right singular vectors (Chan's R-SVD), with
-    the rank taken at X's shape. Raises as ``svd`` does."""
+def right_svd(values, dims: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(sigma, V_s, rank)`` of a dense real matrix X without forming X's U: all of X's
+    singular values, its first ``dims`` right singular vectors (all, if it has fewer) and its
+    rank, taken at X's shape, from ``svd`` of the triangular factor R of X = QR (``r_factor``),
+    which has X's (Chan's R-SVD). Raises as ``svd`` and ``judge_dims`` do."""
+    judge_dims(dims)
     m = as_matrix(values)
     res = svd(r_factor(m))
-    return res.sigma, res.V, _rank(res.sigma, m.shape)
+    return res.sigma, res.V[:, :dims], _rank(res.sigma, m.shape)
 
 
 def r_factor(m: np.ndarray) -> np.ndarray:

@@ -151,9 +151,9 @@ def test_ca_residuals_formed_by_row_blocks_keep_the_bits_of_the_whole_matrix():
     r, c = P.sum(axis=1), P.sum(axis=0)
     rc = np.outer(r, c)
     S = (P - rc) / np.sqrt(rc)
-    sigma, V, _ = linalg.right_svd(S)
-    row_coords = (S @ V[:, :2]) / np.sqrt(r)[:, None]
-    col_coords = (V[:, :2] * sigma[:2]) / np.sqrt(c)[:, None]
+    sigma, V, _ = linalg.right_svd(S, 2)
+    row_coords = (S @ V) / np.sqrt(r)[:, None]
+    col_coords = (V * sigma[:2]) / np.sqrt(c)[:, None]
     expected = {"row_coords": row_coords, "col_coords": col_coords, "inertias": (sigma ** 2)[:2],
                 "total_inertia": float(np.sum(sigma ** 2)), "row_masses": r, "col_masses": c}
     assert [f.name for f in dataclasses.fields(ca)] == list(expected)
@@ -215,13 +215,14 @@ _CENTERED = np.array([[1.0, -2.0], [-3.0, 1.0], [2.0, 1.0]])
     (lambda dims: classical_mds(_TRIANGLE, dims), True),
     (lambda dims: pca_scores(_CENTERED, dims), False),
     (lambda dims: linalg.low_rank_approx(linalg.svd(_CENTERED), dims), False),
-], ids=["ca", "mds", "pca_scores", "low_rank_approx"])
+    (lambda dims: linalg.right_svd(_CENTERED, dims), False),
+], ids=["ca", "mds", "pca_scores", "low_rank_approx", "right_svd"])
 def test_a_dims_that_is_no_integer_is_refused_with_a_message(monkeypatch, refuse, factors, dims):
     """Each entry point takes ``catalog.judge_dims``'s integer rule, and CA and classical MDS
     apply it before they factor."""
     calls = []
     if factors:  # any factorization is recorded, and fails
-        monkeypatch.setattr(linalg, "right_svd", calls.append)
+        monkeypatch.setattr(linalg, "right_svd", lambda values, dims: calls.append(values))
         monkeypatch.setattr(np.linalg, "eigh", calls.append)
     with pytest.raises(InputError, match=f"^{re.escape(f'dims must be an integer, got {dims}')}$"):
         refuse(dims)

@@ -249,9 +249,9 @@ def test_compare_factors_once(tmp_path, case1_csv, monkeypatch, methods, calls):
     count = []
     real_right_svd = linalg.right_svd
 
-    def counting_right_svd(values):
+    def counting_right_svd(values, dims):
         count.append(1)
-        return real_right_svd(values)
+        return real_right_svd(values, dims)
 
     monkeypatch.setattr(linalg, "right_svd", counting_right_svd)
     _compare_docs(tmp_path, case1_csv, methods)
@@ -1120,3 +1120,26 @@ def test_an_output_that_is_the_commands_stdout_is_written_through_it(tmp_path, c
     kept = b"kept\n" if redirect == ">>" else b""
     assert (tmp_path / "log").read_bytes() == kept + (tmp_path / "out").read_bytes() + summary
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case2.csv", "first", "log", "out"]
+
+
+@pytest.mark.parametrize("output, redirect", [("/dev/stderr", "2>>"), ("/dev/fd/3", "3>>")],
+                         ids=["stderr", "fd-3"])
+def test_an_output_on_a_descriptor_the_shell_opened_is_written_through_it(tmp_path, output,
+                                                                          redirect):
+    """An output that is a file the shell opened for the command, on stderr or another
+    descriptor, is written through that descriptor and never replaced under it: the file keeps
+    what it had, then gets the CSV, and stdout has the summary line."""
+    (tmp_path / "log").write_bytes(b"kept\n")
+    proc = _cli_child(tmp_path, f"case 1 --dump-csv {output} {redirect} log",
+                      stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {output}\n".encode(), b"")
+    assert (tmp_path / "log").read_bytes() == b"kept\n" + case_csv(1).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["log"]
+
+
+def test_a_failed_write_on_a_held_descriptor_names_the_output(tmp_path):
+    proc = _cli_child(tmp_path, "case 1 --dump-csv /dev/fd/3 3> /dev/full",
+                      stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == ("error: cannot write /dev/fd/3: "
+                                    f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")

@@ -53,7 +53,7 @@ def test_fit_biplot_needs_one_label_per_row_and_column():
 
 def test_fit_biplot_judges_dims_and_labels_before_it_factors(monkeypatch):
     calls = []
-    monkeypatch.setattr(linalg, "right_svd", calls.append)
+    monkeypatch.setattr(linalg, "right_svd", lambda values, dims: calls.append(values))
     x = np.diag([3.0, 2.0, 1.0])
     for dims in (0, -1):
         with pytest.raises(InputError, match=f"^dims must be positive, got {dims}$"):
@@ -309,7 +309,7 @@ def test_jk_column_markers_are_v_rows():
     rng = np.random.default_rng(29)
     x = rng.normal(size=(6, 4))
     m = jk(x, 2)
-    assert np.array_equal(m.col_markers, right_svd(x)[1][:, :2])
+    assert np.array_equal(m.col_markers, right_svd(x, 2)[1])
     assert np.max(np.abs(m.col_markers - svd(x).V[:, :2])) <= 1e-12
     assert np.all(np.linalg.norm(m.col_markers, axis=1) <= 1.0 + 1e-12)
 

@@ -166,7 +166,7 @@ def test_right_svd_is_svd_without_u(shape):
     x = np.random.default_rng(3).normal(size=shape)
     if shape[1] > 2:
         x[:, -1] = x[:, 0]
-    sigma, V, rank = right_svd(x)
+    sigma, V, rank = right_svd(x, shape[1])
     ref = svd(x)
     assert rank == ref.rank and V.shape == ref.V.shape and V.flags.c_contiguous
     assert np.max(np.abs(sigma - ref.sigma)) <= 1e-12 * ref.sigma[0]
@@ -197,18 +197,52 @@ def test_zscore_at_any_layout_and_row_block_r_factor_equal_numpy(p, crossed, fra
     if n <= rows:
         assert np.array_equal(linalg.r_factor(m), np.linalg.qr(m, mode="r"))
     else:
-        sigma, V, rank = right_svd(m)
+        sigma, V, rank = right_svd(m, p)
         ref = svd(m)
         assert rank == ref.rank == p
         assert np.max(np.abs(sigma - ref.sigma)) <= 1e-12 * ref.sigma[0]
         assert np.max(np.abs(V - ref.V)) <= 1e-10
 
 
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 9), kind=st.sampled_from(["wide", "square", "tall"]),
+       blocks=st.integers(1, 3), cells=st.sampled_from([1, 96, 400]), frac=st.floats(0.0, 1.0),
+       deficient=st.booleans(), dims=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+@example(p=5, kind="tall", blocks=3, cells=1, frac=0.5, deficient=True, dims=2, seed=1)
+@example(p=7, kind="wide", blocks=1, cells=1, frac=0.9, deficient=True, dims=3, seed=2)
+@example(p=6, kind="square", blocks=1, cells=1, frac=0.0, deficient=False, dims=6, seed=3)
+def test_right_svd_keeps_the_first_dims_axes_of_the_whole_matrix(p, kind, blocks, cells, frac,
+                                                                  deficient, dims, seed):
+    """Wide, square and tall tables, tall ones across 1, 2 and 3 row blocks of ``r_factor``
+    (under a small ``BLOCK_CELLS``), rank-deficient ones included: ``right_svd(x, dims)`` has
+    the sigma and rank of ``svd``, the whole matrix's oracle, orthonormal columns, and its first
+    ``dims`` columns of V, signs and all, wherever the kept axes are apart from each other and
+    from the next."""
+    rows = max(8 * p, cells // p)  # r_factor's block under BLOCK_CELLS = cells
+    n = {"wide": max(1, int(frac * (p - 1))), "square": p,  # wide is square at p = 1
+         "tall": p + 1 + (blocks - 1) * rows + int(frac * (rows - p - 1))}[kind]
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, min(n, p)) if deficient else min(n, p)  # the rank, 0 to full
+    x = rng.normal(size=(n, k)) @ rng.normal(size=(k, p)) if deficient else (
+        rng.normal(size=(n, p)) * 1.05 ** -np.arange(p))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "BLOCK_CELLS", cells)
+        sigma, V, rank = right_svd(x, dims)
+    ref = svd(x)
+    s = min(dims, n, p)
+    assert rank == ref.rank and V.shape == (p, s)
+    assert np.max(np.abs(sigma - ref.sigma)) <= 1e-12 * ref.sigma[0]
+    assert np.max(np.abs(V.T @ V - np.eye(s))) <= 1e-12
+    kept = np.append(ref.sigma, 0.0)[:s + 1]  # sigma_1 .. sigma_s, then sigma_s+1 or 0
+    if ref.sigma[0] > 0 and np.min(-np.diff(kept)) > 1e-6 * ref.sigma[0]:
+        assert np.max(np.abs(V - ref.V[:, :s])) <= 1e-8
+
+
 def test_right_svd_is_svd_of_r_with_the_rank_at_the_shape_of_x():
     """The second singular value, 1e-10 of the first, is above the rank
     tolerance at R's 2 x 2 shape and below it at X's 1000 x 2."""
     x = np.linalg.qr(np.random.default_rng(4).normal(size=(1000, 2)))[0] * [1.0, 1e-10]
-    sigma, V, rank = right_svd(x)
+    sigma, V, rank = right_svd(x, 2)
     res = svd(linalg.r_factor(x))
     assert np.array_equal(sigma, res.sigma) and np.array_equal(V, res.V)
     assert res.rank == 2 and rank == svd(x).rank == 1
@@ -220,9 +254,9 @@ def test_right_svd_failure_is_a_numerical_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(NumericalError, match="SVD did not converge"):
-        right_svd(np.eye(3))
+        right_svd(np.eye(3), 3)
     with pytest.raises(InputError):
-        right_svd([[1.0, np.nan], [0.0, 1.0]])
+        right_svd([[1.0, np.nan], [0.0, 1.0]], 2)
 
 
 def test_no_bundled_openblas_gives_no_thread_functions(monkeypatch):
@@ -262,7 +296,7 @@ outputs = {name: (m.row_markers, m.col_markers, m.sigma_all) for name, m in
            [("jk", engine.jk(x)), ("gh", engine.gh(x)), ("sqrt_biplot", engine.sqrt_biplot(x))]}
 res, ca = linalg.svd(x), baselines.correspondence_analysis(np.abs(x) + 1.0, 2)
 mds = baselines.classical_mds(np.sqrt(np.sum((y[:, None] - y[None]) ** 2, axis=2)), 2)
-outputs.update(svd=(res.U, res.sigma, res.V), right_svd=linalg.right_svd(x)[:2],
+outputs.update(svd=(res.U, res.sigma, res.V), right_svd=linalg.right_svd(x, 300)[:2],
                pca_scores=(engine.pca_scores(x),),
                column_correlations=(engine.column_correlations(x, tuple(range(300))),),
                correspondence_analysis=(ca.row_coords, ca.col_coords, ca.inertias),
